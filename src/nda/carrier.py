@@ -108,22 +108,3 @@ class Carrier:
         if i == self.size - 1:
             raise SuccessorOfTopError(f"{v} is the top element; it has no successor")
         return self.value_at(i + 1)
-
-    def clamp(self, v: int | float) -> int | float:
-        """Restrict v to [min, max]; identity on carrier values."""
-        if v < self.min:
-            return self.min
-        if v > self.max:
-            return self.max
-        return v
-
-    def __contains__(self, v) -> bool:
-        try:
-            self.index_of(v)
-        except OffCarrierError:
-            return False
-        return True
-
-    def values(self):
-        """All carrier values in ascending order."""
-        return (self.value_at(i) for i in range(self.size))

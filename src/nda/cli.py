@@ -5,8 +5,9 @@ table by default; ``--format json`` emits one JSON record per line with
 stable field names, ``--format csv`` a fixed header row plus data rows.
 The NDA_FORMAT environment variable changes the default; flags win.
 
-Exit codes are a contract: 0 success, 1 usage, 2 the functional parameter
-or carrier was rejected, 3 an evaluation failed (off-carrier value, carrier
+Exit codes are a contract: 0 success, 1 usage (also an argument out of
+range, such as a refused oversize law scan), 2 the functional parameter or
+carrier was rejected, 3 an evaluation failed (off-carrier value, carrier
 exhausted, multiplication unavailable, bad expression).
 """
 
@@ -63,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     except NdaError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,17 +269,22 @@ def _theorem_record(report: laws.TheoremReport) -> dict:
     }
 
 
-def _cmd_laws(args) -> int:
-    arith = Arithmetic.from_spec(args.arith)
-    upper = args.upper if args.upper is not None else min(100, arith.carrier.size - 1)
+def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[dict]:
+    if upper is None:
+        upper = min(100, arith.carrier.size - 1)
     records = []
-    for name in _parse_law_list(args.check):
+    for name in _parse_law_list(check_text):
         if name == "archimedean":
             records.append(_archimedean_record(laws.check_archimedean(arith, upper)))
         elif name == "theorem-archimedean-mll":
             records.append(_theorem_record(laws.verify_archimedean_theorem(arith, upper)))
         else:
             records.append(_law_record(laws.check_law(arith, name, upper)))
+    return records
+
+
+def _cmd_laws(args) -> int:
+    records = _law_records(Arithmetic.from_spec(args.arith), args.check, args.upper)
     _emit_records(records, _LAW_COLUMNS, _format_of(args))
     return 0
 
@@ -422,12 +431,10 @@ DEMOS = {
     "lightspeed": _demo_lightspeed,
 }
 
-_DEMO_ORDER = ("heap", "payphone", "bogo", "cans", "lightspeed")
-
 
 def _cmd_demo(args) -> int:
     if args.name == "all":
-        blocks = [_demo_headlines()] + [DEMOS[name]() for name in _DEMO_ORDER]
+        blocks = [_demo_headlines()] + [demo() for demo in DEMOS.values()]
         print("\n\n".join("\n".join(block) for block in blocks))
     else:
         print("\n".join(DEMOS[args.name]()))
@@ -478,16 +485,8 @@ def _cmd_repl(args) -> int:
                     if current is None:
                         print("error: no arithmetic selected; use :arith <spec>")
                         continue
-                    upper = int(fields[2]) if len(fields) == 3 else min(100, current.carrier.size - 1)
-                    records = []
-                    for name in _parse_law_list(fields[1]):
-                        if name == "archimedean":
-                            records.append(_archimedean_record(laws.check_archimedean(current, upper)))
-                        elif name == "theorem-archimedean-mll":
-                            records.append(_theorem_record(laws.verify_archimedean_theorem(current, upper)))
-                        else:
-                            records.append(_law_record(laws.check_law(current, name, upper)))
-                    _emit_records(records, _LAW_COLUMNS, fmt)
+                    upper = int(fields[2]) if len(fields) == 3 else None
+                    _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt)
                 else:
                     print(f"error: bad directive {line!r}; :help lists them")
             except NdaError as exc:

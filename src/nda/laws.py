@@ -1,21 +1,24 @@
 """Exhaustive verification of classical laws over a finite range.
 
-Every check scans all tuples with carrier indices in [0, R] and reports
-holds / fails / not-applicable plus the smallest counterexample.  "Smallest"
-means the first counterexample met when the scanned range grows one step at
-a time: minimal largest component, ties broken lexicographically.  Scans are
-pure and deterministic regardless of how the work is partitioned.
+Laws are data: an arity and equations whose sides compose add and mul over
+broadcast index axes, each operation gathered from one table over its
+distinct operands (``Arithmetic.index_table``).  A scan of carrier indices
+[0, R] holds O((R+1)^arity) cells at once; one of more than MAX_SCAN_CELLS
+cells is refused before anything is allocated.  Reports give holds / fails /
+not-applicable, the exact violation count and the smallest counterexample:
+least largest component, then lexicographic, which is the first violation
+in C order of the least cube [0..k]^arity that holds one.
 
-Dual arithmetics are scanned through their saturating view so that every
-tuple is defined inside the finite window; reports on a dual arithmetic are
-therefore finite-window approximations of an infinite family.  Absorption
-checks (find_largest_number) deliberately keep the constructed overflow
-policy, since an error-on-exhaustion dual has no absorbing element.
+Duals are scanned through their saturating view, so every tuple is defined
+and reports are finite-window approximations of an infinite family.
+find_largest_number keeps the constructed overflow policy, since an
+error-on-exhaustion dual has no absorbing element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,17 +32,10 @@ NOT_APPLICABLE = "not-applicable"
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
-ALL_LAWS = (
-    "commutativity-add",
-    "commutativity-mul",
-    "assoc-add",
-    "assoc-mul",
-    "distributivity",
-    "neutral-zero",
-    "neutral-one",
-)
-
-_MUL_LAWS = {"commutativity-mul", "assoc-mul", "distributivity", "neutral-one"}
+# A scan holds two gathered int32 sides and a violation mask, 9 bytes a cell:
+# 32M cells are some 290 MB.  That admits the 3-ary laws up to R = 316 and
+# refuses R = 1000 (1G cells, 9 GB).
+MAX_SCAN_CELLS = 32_000_000
 
 
 @dataclass(frozen=True)
@@ -92,139 +88,69 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _op_table(arith: Arithmetic, op: str, rows, cols) -> np.ndarray:
-    """Result indices of op over rows x cols (carrier indices)."""
-    apply = arith.add_index if op == "add" else arith.mul_index
-    out = np.empty((len(rows), len(cols)), dtype=np.int32)
-    for ri, i in enumerate(rows):
-        row = out[ri]
-        for cj, j in enumerate(cols):
-            row[cj] = apply(i, j)
-    return out
+def _axes(upper: int, arity: int) -> tuple[np.ndarray, ...]:
+    """Index axes that broadcast to the cube [0..upper]^arity; refuses an oversize cube."""
+    if (upper + 1) ** arity > MAX_SCAN_CELLS:
+        raise ValueError(f"scan of {(upper + 1) ** arity} cells exceeds the limit {MAX_SCAN_CELLS}; lower R")
+    return np.ix_(*[np.arange(upper + 1)] * arity)
 
 
-def _smallest_witness(violations: np.ndarray) -> tuple[int, ...] | None:
-    """Minimal counterexample: smallest max component, then lexicographic."""
-    cells = np.argwhere(violations)
-    if cells.size == 0:
-        return None
-    outer = cells.max(axis=1)
-    shell = cells[outer == outer.min()]
-    order = np.lexsort(shell.T[::-1])
-    return tuple(int(x) for x in shell[order[0]])
+def _apply(scan: Arithmetic, op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """op over broadcastable index arrays, through one table over their distinct values."""
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
+    table = scan.index_table(op, ux[:, None], uy[None, :])
+    return table[ix.reshape(x.shape), iy.reshape(y.shape)]
 
 
-def _binary_scan(table: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    return table != mirror
+def _side(scan: Arithmetic, side, axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Indices of one side of an equation: an axis name, a carrier value, or (op, side, side)."""
+    if isinstance(side, str):
+        return axes["abc".index(side)]
+    if isinstance(side, int):
+        return np.array(scan.carrier.index_of(side))
+    op, x, y = side
+    return _apply(scan, op, _side(scan, x, axes), _side(scan, y, axes))
 
 
-# above this many cells the compressed tables fall back to a scalar scan
-_TABLE_CELL_LIMIT = 8_000_000
+# name -> (arity, needs_mul, equations), each equation an (lhs, rhs) pair of sides
+_LAWS = {
+    "commutativity-add": (2, False, [(("add", "a", "b"), ("add", "b", "a"))]),
+    "commutativity-mul": (2, True, [(("mul", "a", "b"), ("mul", "b", "a"))]),
+    "assoc-add": (3, False, [(("add", ("add", "a", "b"), "c"), ("add", "a", ("add", "b", "c")))]),
+    "assoc-mul": (3, True, [(("mul", ("mul", "a", "b"), "c"), ("mul", "a", ("mul", "b", "c")))]),
+    "distributivity": (3, True, [(("mul", "a", ("add", "b", "c")), ("add", ("mul", "a", "b"), ("mul", "a", "c")))]),
+    "neutral-zero": (1, False, [(("add", "a", 0), "a"), (("add", 0, "a"), "a")]),
+    "neutral-one": (1, True, [(("mul", "a", 1), "a"), (("mul", 1, "a"), "a")]),
+}
+ALL_LAWS = tuple(_LAWS)
 
 
-def _scalar_triple_scan(lhs_fn, rhs_fn, upper: int) -> tuple[tuple[int, ...] | None, int]:
-    """Growing-range scan; first violation is the smallest witness. Count stops there."""
-    for bound in range(upper + 1):
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                for c in range(bound + 1):
-                    if max(a, b, c) != bound:
-                        continue
-                    if lhs_fn(a, b, c) != rhs_fn(a, b, c):
-                        return (a, b, c), 1
-    return None, 0
-
-
-def _assoc_masks(arith: Arithmetic, op: str, upper: int):
-    base = range(upper + 1)
-    t1 = _op_table(arith, op, base, base)
-    mids = np.union1d(np.unique(t1), np.arange(upper + 1, dtype=np.int32))
-    if len(mids) * (upper + 1) > _TABLE_CELL_LIMIT:
-        return None
-    t2 = _op_table(arith, op, [int(i) for i in mids], base)
-    pos = np.searchsorted(mids, t1)
-    composed = t2[pos]  # composed[x, y, z] = op(op(x, y), z)
-    lhs = composed  # (a op b) op c
-    rhs = composed.transpose(2, 0, 1)  # a op (b op c), by commutativity of the construction
-    return lhs, rhs
+def _smallest_witness(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Least violation by largest component, then lexicographic: first in C order in the least cube."""
+    for k in range(mask.shape[0]):
+        cube = mask[(slice(0, k + 1),) * mask.ndim]
+        if any(cube[(slice(None),) * d + (k,)].any() for d in range(mask.ndim)):
+            return tuple(int(i) for i in np.unravel_index(np.argmax(cube), cube.shape))
+    return None
 
 
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper]."""
-    if law not in ALL_LAWS:
+    if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
+    arity, needs_mul, equations = _LAWS[law]
     scan = _scan_view(arith)
-    if law in _MUL_LAWS and not scan.multiplicative:
+    if needs_mul and not scan.multiplicative:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-
-    base = range(upper + 1)
-    n = upper + 1
-    if law == "commutativity-add":
-        table = _op_table(scan, "add", base, base)
-        viol = _binary_scan(table, table.T)
-        checked = n * n
-    elif law == "commutativity-mul":
-        table = _op_table(scan, "mul", base, base)
-        viol = _binary_scan(table, table.T)
-        checked = n * n
-    elif law == "neutral-zero":
-        left = _op_table(scan, "add", base, [0])[:, 0]
-        right = _op_table(scan, "add", [0], base)[0]
-        viol = (left != np.arange(n)) | (right != np.arange(n))
-        checked = n
-    elif law == "neutral-one":
-        one = scan.carrier.index_of(1)
-        left = _op_table(scan, "mul", base, [one])[:, 0]
-        right = _op_table(scan, "mul", [one], base)[0]
-        viol = (left != np.arange(n)) | (right != np.arange(n))
-        checked = n
-    elif law in ("assoc-add", "assoc-mul"):
-        op = scan.add_index if law == "assoc-add" else scan.mul_index
-        masks = _assoc_masks(scan, "add" if law == "assoc-add" else "mul", upper)
-        if masks is None:
-            witness_idx, count = _scalar_triple_scan(
-                lambda a, b, c: op(op(a, b), c),
-                lambda a, b, c: op(a, op(b, c)), upper)
-            return _triple_report(arith, law, upper, witness_idx, count)
-        lhs, rhs = masks
-        viol = lhs != rhs
-        checked = n ** 3
-    else:  # distributivity: a * (b + c) = a*b + a*c
-        t_add = _op_table(scan, "add", base, base)
-        t_mul = _op_table(scan, "mul", base, base)
-        mids_add = np.union1d(np.unique(t_add), np.arange(n, dtype=np.int32))
-        mids_mul = np.unique(t_mul)
-        if max(len(mids_add) * n, len(mids_mul) ** 2) > _TABLE_CELL_LIMIT:
-            witness_idx, count = _scalar_triple_scan(
-                lambda a, b, c: scan.mul_index(a, scan.add_index(b, c)),
-                lambda a, b, c: scan.add_index(scan.mul_index(a, b), scan.mul_index(a, c)),
-                upper)
-            return _triple_report(arith, law, upper, witness_idx, count)
-        mul_by_sum = _op_table(scan, "mul", [int(i) for i in mids_add], base)
-        lhs = mul_by_sum[np.searchsorted(mids_add, t_add)].transpose(2, 0, 1)
-        add_of_products = _op_table(scan, "add", [int(i) for i in mids_mul], [int(i) for i in mids_mul])
-        pos = np.searchsorted(mids_mul, t_mul)
-        rhs = add_of_products[pos[:, :, None], pos[:, None, :]]
-        viol = lhs != rhs
-        checked = n ** 3
-
-    witness_idx = _smallest_witness(viol)
-    count = int(viol.sum())
-    if witness_idx is None:
-        return LawReport(law, HOLDS, None, upper, checked, 0)
-    witness = tuple(arith.carrier.value_at(i) for i in witness_idx)
-    return LawReport(law, FAILS, witness, upper, checked, count)
-
-
-def _triple_report(arith: Arithmetic, law: str, upper: int,
-                   witness_idx: tuple | None, count: int) -> LawReport:
-    checked = (upper + 1) ** 3
-    if witness_idx is None:
-        return LawReport(law, HOLDS, None, upper, checked, 0)
-    witness = tuple(arith.carrier.value_at(i) for i in witness_idx)
-    # the scalar fallback stops at the first violation, so no total count
-    return LawReport(law, FAILS, witness, upper, checked, None)
+    axes = _axes(upper, arity)
+    mask = reduce(np.logical_or, (_side(scan, lhs, axes) != _side(scan, rhs, axes) for lhs, rhs in equations))
+    count = int(np.count_nonzero(mask))
+    if not count:
+        return LawReport(law, HOLDS, None, upper, mask.size, 0)
+    witness = tuple(arith.carrier.value_at(i) for i in _smallest_witness(mask))
+    return LawReport(law, FAILS, witness, upper, mask.size, count)
 
 
 def check_all_laws(arith: Arithmetic, upper: int) -> list[LawReport]:
@@ -269,19 +195,11 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
 
 def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
     """Check Archimedean <=> (a << b only for a = 0), both sides computed."""
-    _check_upper(arith, upper)
-    scan = _scan_view(arith)
-    archimedean = check_archimedean(arith, upper).archimedean
-    base = range(upper + 1)
-    table = _op_table(scan, "add", base, base)
-    # a << b  <=>  add(b, a) == b; ignore a = 0 which holds by neutrality
-    viol = table == np.arange(upper + 1, dtype=np.int32)[:, None]
-    viol[:, 0] = False
-    cell = _smallest_witness(viol)
-    mll_witness = None
-    if cell is not None:
-        bi, ai = cell
-        mll_witness = (arith.carrier.value_at(ai), arith.carrier.value_at(bi))
+    archimedean = check_archimedean(arith, upper).archimedean  # validates upper
+    b, a = _axes(upper, 2)
+    # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality and is no evidence
+    cell = _smallest_witness((_apply(_scan_view(arith), "add", b, a) == b) & (a > 0))
+    mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
     only_zero = cell is None
     status = CONSISTENT if archimedean == only_zero else INCONSISTENT
     return TheoremReport(status, archimedean, only_zero, upper, mll_witness)

@@ -65,14 +65,6 @@ class SequenceSpec:
             return math.lgamma(n + 1) - n * math.log(self.param)
         raise SpecError(f"unknown sequence family {self.family!r}")
 
-    def mantissa_exponent(self, n: int) -> tuple[float, int]:
-        """t_n as (mantissa in [1, 10), decimal exponent); representable for any size."""
-        log10 = self.log_term(n) / math.log(10.0)
-        if math.isinf(log10):
-            return 0.0, 0
-        exponent = math.floor(log10)
-        return 10.0 ** (log10 - exponent), exponent
-
     def _check_index(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"terms are indexed from 1, got {n}")

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nda.arith import Arithmetic
+from nda.arith import ERROR, SATURATE, Arithmetic
 from nda.carrier import Carrier
 from nda.errors import (
     CarrierExhaustedError,
@@ -221,6 +222,60 @@ class TestClosedForms:
                 for x in range(0, 41, 3):
                     for y in range(0, 41, 3):
                         assert a.add_index(x, y) == ref_add(fvals, kind, x, y)
+
+
+def scalar_row(apply, i, size):
+    """apply(i, j) for every j by the scalar path, or None if any cell exhausts the carrier."""
+    try:
+        return [apply(i, j) for j in range(size)]
+    except CarrierExhaustedError:
+        return None
+
+
+def assert_index_table_exact(a, ops):
+    idx = np.arange(a.carrier.size)
+    for op in ops:
+        apply = a.add_index if op == "add" else a.mul_index
+        rows = [scalar_row(apply, i, a.carrier.size) for i in range(a.carrier.size)]
+        for i, row in enumerate(rows):
+            if row is None:  # one exhausted cell fails the whole table
+                with pytest.raises(CarrierExhaustedError):
+                    a.index_table(op, i, idx)
+            else:
+                assert a.index_table(op, i, idx).tolist() == row
+        if None in rows:
+            with pytest.raises(CarrierExhaustedError):
+                a.index_table(op, idx[:, None], idx[None, :])
+        else:
+            assert a.index_table(op, idx[:, None], idx[None, :]).tolist() == rows
+
+
+class TestIndexTable:
+    """The array form of add_index / mul_index agrees with it on every cell."""
+
+    @pytest.mark.parametrize("spec, overflow, ops", [
+        ("projective:pow:1.5@int:0:1000", None, ("add", "mul")),  # float64
+        ("projective:atanh:1@grid:0:1:0.01", None, ("add",)),  # float64 with f(top) = inf
+        ("dual:pow:2@int:0:1000", SATURATE, ("add", "mul")),  # int64
+        ("dual:pow:2@int:0:1000", ERROR, ("add", "mul")),
+        ("projective:exp2m1@int:0:100", None, ("add", "mul")),  # object: f passes 2^53
+    ])
+    def test_matches_scalar_path(self, spec, overflow, ops):
+        a = arith(spec)
+        assert_index_table_exact(a.with_overflow(overflow) if overflow else a, ops)
+
+    def test_mul_unavailable(self):
+        a = arith("projective:atanh:1@grid:0:1:0.01")
+        with pytest.raises(MultiplicationUnavailableError):
+            a.index_table("mul", np.arange(3)[:, None], np.arange(3)[None, :])
+
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    def test_mixed_int_float_table(self, tmp_path, kind):
+        path = tmp_path / "mixed.txt"
+        path.write_text("0 0\n1 1\n2 2.5\n3 4\n4 7.25\n5 11\n6 16.5\n")
+        a = arith(f"{kind}:table:{path}@int:0:6")
+        assert_index_table_exact(a, ("add", "mul"))
+        assert_index_table_exact(a.with_overflow(SATURATE), ("add", "mul"))
 
 
 class TestLightspeed:

@@ -109,17 +109,6 @@ class TestSucc:
         assert v == c.max
 
 
-class TestClamp:
-    def test_identity_on_carrier_values(self):
-        c = Carrier.integers(10)
-        assert all(c.clamp(v) == v for v in c.values())
-
-    def test_bounds(self):
-        c = Carrier.integers(10)
-        assert c.clamp(-5) == 0
-        assert c.clamp(15) == 10
-
-
 @given(st.integers(min_value=0, max_value=200))
 def test_round_trip_integers(i):
     c = Carrier.integers(200)
@@ -140,6 +129,7 @@ def test_succ_strictly_increasing_on_grid(i):
 
 def test_contains():
     c = Carrier.grid(1.0, 0.001)
-    assert 0.8 in c
-    assert 0.0005 not in c
-    assert 1.5 not in c
+    assert c.index_of(0.8) == 800
+    for outside in (0.0005, 1.5):
+        with pytest.raises(OffCarrierError):
+            c.index_of(outside)

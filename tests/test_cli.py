@@ -1,0 +1,45 @@
+"""Exit-code contract of the ``nda`` command line, driven through cli.main(argv)."""
+
+import io
+import json
+
+import pytest
+
+from nda import cli
+from nda.arith import Arithmetic
+
+
+@pytest.fixture(autouse=True)
+def _default_format(monkeypatch):
+    monkeypatch.delenv("NDA_FORMAT", raising=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "projective:id@int:0:10", "-R", "-1"],
+    ["laws", "projective:id@int:0:10", "-R", "50"],
+    ["laws", "dual:pow:2@int:0:1000", "--check", "assoc-add", "-R", "1000"],
+    ["series", "sum", "projective:id@int:0:10", "const:1", "-n", "0"],
+    ["series", "practical", "powfact:1000", "-K", "10"],
+], ids=["laws-R-negative", "laws-R-beyond-carrier", "laws-oversize-scan", "series-sum-n-0", "series-practical-K-10"])
+def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("an op table was built for a refused scan")
+
+    monkeypatch.setattr(Arithmetic, "index_table", no_table)  # a refused R=1000 cube is never allocated
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_repl_laws_prints_the_records_of_the_laws_command(monkeypatch, capsys):
+    spec = "projective:pow:1.5@int:0:1000"
+    assert cli.main(["--format", "json", "laws", spec, "--check", "assoc-add", "-R", "12"]) == 0
+    direct = capsys.readouterr().out
+    records = [json.loads(line) for line in direct.splitlines()]
+    assert [(r["law"], r["witness"], r["violations"]) for r in records] == [("assoc-add", [2, 3, 3], 364)]
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(":format json\n:laws assoc-add 12\n"))
+    assert cli.main(["repl", spec]) == 0
+    assert capsys.readouterr().out == direct

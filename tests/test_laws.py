@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nda import laws
 from nda.arith import Arithmetic
 from nda.errors import MultiplicationUnavailableError
 from nda.laws import (
@@ -158,6 +159,21 @@ def test_range_bound_validated():
         check_law(arith("projective:id@int:0:10"), "assoc-add", 11)
     with pytest.raises(ValueError):
         check_law(arith("projective:id@int:0:10"), "no-such-law", 5)
+
+
+def test_oversize_scan_refused_before_any_table(monkeypatch):
+    a = arith("projective:pow:1.5@int:0:30")
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", 13 ** 2)  # R=12: the 2-ary scans fit, the 3-ary ones do not
+    assert check_law(a, "commutativity-add", 12).pairs_checked == 13 ** 2
+    assert verify_archimedean_theorem(a, 12).status == CONSISTENT
+
+    def no_table(*args):
+        raise AssertionError("an op table was built for a refused scan")
+
+    monkeypatch.setattr(Arithmetic, "index_table", no_table)
+    for law in ("assoc-add", "assoc-mul", "distributivity"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            check_law(a, law, 12)
 
 
 # ----------------------------------------------------------------------
