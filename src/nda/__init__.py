@@ -18,7 +18,6 @@ from .errors import (
     OffCarrierError,
     ParseError,
     SpecError,
-    SuccessorOfTopError,
     TableError,
     ValidationError,
 )
@@ -27,11 +26,8 @@ from .laws import (
     ArchimedeanReport,
     LawReport,
     TheoremReport,
-    check_all_laws,
     check_archimedean,
     check_law,
-    find_largest_number,
-    search_identities,
     verify_archimedean_theorem,
 )
 from .series import (
@@ -47,12 +43,11 @@ __all__ = [
     "Arithmetic", "Carrier", "FunctionalParameter", "ValidationReport",
     "PROJECTIVE", "DUAL",
     "LawReport", "ArchimedeanReport", "TheoremReport",
-    "check_law", "check_all_laws", "check_archimedean",
-    "verify_archimedean_theorem", "find_largest_number", "search_identities",
+    "check_law", "check_archimedean", "verify_archimedean_theorem",
     "SequenceSpec", "ConvergenceVerdict", "arith_partial_sums", "practical_convergence",
     "load_table", "validate",
     "NdaError", "SpecError", "ValidationError", "TableError",
-    "OffCarrierError", "CarrierIndexError", "SuccessorOfTopError",
+    "OffCarrierError", "CarrierIndexError",
     "CarrierExhaustedError", "MultiplicationUnavailableError",
     "LexError", "ParseError",
     "__version__",

@@ -7,8 +7,9 @@ two kinds differing only in how the backwards step rounds onto the carrier:
   saturates at the top, admits fixed points, absorption and a largest number.
 * dual: least carrier value v with f(v) >= target (round up); adding a
   positive element always strictly grows, so the finite window can be
-  exhausted.  Exhaustion raises by default; a saturating variant exists for
-  whole-range scans.
+  exhausted.  A single operation past f(top) raises; op tables
+  (``index_table``) clamp it to the top instead, the finite-window view that
+  law scans use.
 
 No numeric inverse of f is ever computed: the memoised f values form a
 strictly increasing array and every operation is a binary search over it.
@@ -34,14 +35,11 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .funcparam import FunctionalParameter, ValidationReport, bind
+from .funcparam import FunctionalParameter, bind
 from .funcparam import from_spec as f_from_spec
 
 PROJECTIVE = "projective"
 DUAL = "dual"
-
-SATURATE = "saturate"
-ERROR = "error"
 
 
 class Arithmetic:
@@ -51,31 +49,16 @@ class Arithmetic:
     across threads.
     """
 
-    def __init__(
-        self,
-        carrier: Carrier,
-        f: FunctionalParameter,
-        kind: str,
-        overflow: str | None = None,
-        _prebound: tuple[ValidationReport, list] | None = None,
-    ):
+    def __init__(self, carrier: Carrier, f: FunctionalParameter, kind: str):
         if kind not in (PROJECTIVE, DUAL):
             raise SpecError(f"kind must be {PROJECTIVE!r} or {DUAL!r}, got {kind!r}")
-        if overflow is None:
-            overflow = SATURATE if kind == PROJECTIVE else ERROR
-        if overflow not in (SATURATE, ERROR):
-            raise SpecError(f"overflow must be {SATURATE!r} or {ERROR!r}, got {overflow!r}")
-        if kind == PROJECTIVE and overflow == ERROR:
-            raise ValidationError("projective arithmetics always saturate; overflow='error' is a dual-only policy")
-        report, fvals = _prebound if _prebound is not None else bind(f, carrier)
+        report, fvals = bind(f, carrier)
         if not report.ok:
             raise ValidationError(f"f {f.name!r} rejected on {carrier.spec}: {report.message()}")
         self.carrier = carrier
         self.f = f
         self.kind = kind
-        self.overflow = overflow
         self.multiplicative = report.multiplicative
-        self.validation = report
         self._fvals = fvals
 
     @classmethod
@@ -94,14 +77,7 @@ class Arithmetic:
         return f"{self.kind}:{self.f.name}@{self.carrier.spec}"
 
     def __repr__(self) -> str:
-        return f"Arithmetic({self.spec!r}, overflow={self.overflow!r})"
-
-    def with_overflow(self, overflow: str) -> "Arithmetic":
-        """Same arithmetic under a different overflow policy (shares the memo)."""
-        if overflow == self.overflow:
-            return self
-        return Arithmetic(self.carrier, self.f, self.kind, overflow,
-                          _prebound=(self.validation, self._fvals))
+        return f"Arithmetic({self.spec!r})"
 
     # ------------------------------------------------------------------
     # index-level core (used by the law scanners; values derive from these)
@@ -114,8 +90,6 @@ class Arithmetic:
             return bisect_right(fv, target) - 1
         i = bisect_left(fv, target)
         if i == len(fv):
-            if self.overflow == SATURATE:
-                return len(fv) - 1
             raise CarrierExhaustedError(
                 f"target {target} exceeds f(top) = {fv[-1]} on {self.carrier.spec}")
         return i
@@ -131,7 +105,12 @@ class Arithmetic:
         return np.array(fv, dtype=object)
 
     def index_table(self, op: str, rows, cols) -> np.ndarray:
-        """Array form of add_index / mul_index (op "add" / "mul") over broadcastable index arrays."""
+        """Array form of add_index / mul_index (op "add" / "mul") over broadcastable index arrays.
+
+        Where a dual target passes f(top), the cell is clamped to the top
+        instead of raising: this is the finite-window view that law scans use,
+        so every cell of a table is defined.
+        """
         if op == "mul":
             self._require_mul()
         fv = self._f_array
@@ -144,12 +123,7 @@ class Arithmetic:
         if self.kind == PROJECTIVE:
             out = np.searchsorted(fv, target, side="right") - 1
         else:
-            out = np.searchsorted(fv, target, side="left")
-            exhausted = out == len(fv)
-            if self.overflow == ERROR and exhausted.any():
-                raise CarrierExhaustedError(
-                    f"target {target[exhausted][0]} exceeds f(top) = {fv[-1]} on {self.carrier.spec}")
-            out = np.minimum(out, len(fv) - 1)
+            out = np.minimum(np.searchsorted(fv, target, side="left"), len(fv) - 1)
         return out.astype(np.int32)  # half the memory of intp in gathered law scans
 
     def add_index(self, i: int, j: int) -> int:
@@ -224,13 +198,6 @@ class Arithmetic:
         c = self.carrier
         ib = c.index_of(b)
         return self.add_index(ib, c.index_of(a)) == ib
-
-    def mll_dual(self, a, b) -> bool:
-        """a << b in the dual sense: adding a moves b by exactly one step."""
-        c = self.carrier
-        ib = c.index_of(b)
-        c.succ(b)  # raises SuccessorOfTopError when b is the top element
-        return self.add_index(ib, c.index_of(a)) == ib + 1
 
     def mlll(self, a, b) -> bool:
         """a <<< b: multiplying by a leaves b unchanged."""

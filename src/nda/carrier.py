@@ -17,7 +17,6 @@ from .errors import (
     CarrierIndexError,
     OffCarrierError,
     SpecError,
-    SuccessorOfTopError,
     ValidationError,
 )
 
@@ -31,7 +30,7 @@ GRID_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Carrier:
-    """A finite ordered set of values with successor/predecessor structure."""
+    """A finite ordered set of values, navigated by index."""
 
     kind: str
     min: int | float
@@ -101,10 +100,3 @@ class Carrier:
         if abs(v - grid_value) > GRID_TOLERANCE * max(1.0, abs(v), abs(grid_value)):
             raise OffCarrierError(f"{v} is not on the carrier (nearest point {grid_value})")
         return i
-
-    def succ(self, v: int | float) -> int | float:
-        """The next carrier value above v."""
-        i = self.index_of(v)
-        if i == self.size - 1:
-            raise SuccessorOfTopError(f"{v} is the top element; it has no successor")
-        return self.value_at(i + 1)

@@ -54,7 +54,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (nda demo | head -1): send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except SpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -341,7 +349,8 @@ def _cmd_series_sum(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# demos: every printed equality is computed through the library
+# demos: every printed equality is computed through the library, except
+# the cans tariff, which is a hard-coded price list
 # ----------------------------------------------------------------------
 
 def _demo_heap() -> list[str]:

@@ -36,10 +36,6 @@ class CarrierIndexError(NdaError):
     """A carrier index is outside [0, size)."""
 
 
-class SuccessorOfTopError(NdaError):
-    """The successor of the carrier's top element was requested."""
-
-
 class CarrierExhaustedError(NdaError):
     """A dual-kind operation overflowed the finite carrier window."""
 

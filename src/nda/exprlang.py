@@ -6,6 +6,7 @@ Grammar (byte offsets in errors, longest-match lexing):
     expr     := term ( ('+' | '-') term )*        # left-associative
     term     := factor ( '*' factor )*            # left-associative
     factor   := NUMBER | '(' expr ')'
+    NUMBER   := [0-9]+ ( '.' [0-9]+ )?
 
 Left associativity is semantic: the arithmetics are generally not
 associative, so 1+2+3 means (1+2)+3 and nothing else.  Relations appear
@@ -33,7 +34,10 @@ LT = "lt"
 MLL = "mll"
 MLLL = "mlll"
 
+# ASCII only: str.isdigit also takes Unicode digits such as '٣' and '²'
+_DIGITS = frozenset("0123456789")
 _SINGLE = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN}
+_DOUBLE = {"==": EQEQ, "!=": NEQ}
 _RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
 _BINARY_KINDS = {PLUS: "add", MINUS: "sub", STAR: "mul"}
 
@@ -79,13 +83,13 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             offset += len(ch.encode("utf-8"))
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             lexeme = text[i:j]
             tokens.append(Token(NUMBER, lexeme, offset))
@@ -102,20 +106,16 @@ def tokenize(text: str) -> list[Token]:
             offset += len(lexeme)
             i = j
             continue
-        if ch == "=" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token(EQEQ, "==", offset))
-            i += 2
-            offset += 2
-            continue
-        if ch == "!" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token(NEQ, "!=", offset))
-            i += 2
-            offset += 2
-            continue
         if ch in _SINGLE:
             tokens.append(Token(_SINGLE[ch], ch, offset))
             i += 1
             offset += 1
+            continue
+        if text[i:i + 2] in _DOUBLE:
+            lexeme = text[i:i + 2]
+            tokens.append(Token(_DOUBLE[lexeme], lexeme, offset))
+            i += 2
+            offset += 2
             continue
         raise LexError(f"unknown character {ch!r}", offset)
     return tokens
@@ -234,28 +234,3 @@ def _eval_expr(node: Node, arith: Arithmetic):
             return arith.sub(left, right)
         return arith.mul(left, right)
     raise ParseError("relations may only appear at the root", 0)
-
-
-_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2}
-_OP_TEXT = {"add": "+", "sub": "-", "mul": "*"}
-_REL_TEXT = {"eq": "==", "neq": "!=", "lt": "<", "mll": "<<", "mlll": "<<<"}
-
-
-def pretty(node: Node) -> str:
-    """Canonical text; re-parsing it reproduces the identical Ast."""
-    if isinstance(node, Relation):
-        return f"{_pretty_expr(node.left, 0)} {_REL_TEXT[node.rel]} {_pretty_expr(node.right, 0)}"
-    return _pretty_expr(node, 0)
-
-
-def _pretty_expr(node: Node, parent_level: int, right_side: bool = False) -> str:
-    if isinstance(node, Literal):
-        return repr(node.value) if isinstance(node.value, float) else str(node.value)
-    level = _PRECEDENCE[node.op]
-    text = (f"{_pretty_expr(node.left, level)} {_OP_TEXT[node.op]} "
-            f"{_pretty_expr(node.right, level, right_side=True)}")
-    # parentheses needed when binding looser than the context, or on the right
-    # of an equal-precedence operator (the fold is strictly left-to-right)
-    if level < parent_level or (level == parent_level and right_side):
-        return f"({text})"
-    return text

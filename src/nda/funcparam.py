@@ -15,7 +15,9 @@ Validation happens once, at binding time; evaluation afterwards is total.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 
@@ -65,8 +67,14 @@ class FunctionalParameter:
             return self._table_lookup(v)
         raise SpecError(f"unknown f family {self.family!r}")
 
+    @cached_property
+    def _table_xs(self) -> list:
+        return [x for x, _ in self.points]
+
     def _table_lookup(self, v: int | float):
-        for x, y in self.points:
+        # the x values strictly increase, so only the entries either side of v can match
+        i = bisect_left(self._table_xs, v)
+        for x, y in self.points[max(i - 1, 0):i + 1]:
             if x == v or abs(x - v) <= 1e-9 * max(1.0, abs(x), abs(v)):
                 return y
         raise ValidationError(f"table f has no entry for carrier point {v}")

@@ -9,10 +9,8 @@ not-applicable, the exact violation count and the smallest counterexample:
 least largest component, then lexicographic, which is the first violation
 in C order of the least cube [0..k]^arity that holds one.
 
-Duals are scanned through their saturating view, so every tuple is defined
-and reports are finite-window approximations of an infinite family.
-find_largest_number keeps the constructed overflow policy, since an
-error-on-exhaustion dual has no absorbing element.
+Op tables clamp a dual sum past f(top) to the top, so every tuple is
+defined and reports are finite-window approximations of an infinite family.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from functools import reduce
 
 import numpy as np
 
-from .arith import DUAL, ERROR, SATURATE, Arithmetic
-from .errors import CarrierExhaustedError, MultiplicationUnavailableError
+from .arith import Arithmetic
+from .errors import CarrierExhaustedError
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -74,13 +72,6 @@ class TheoremReport:
     mll_only_zero: bool
     upper: int
     mll_witness: tuple | None = None  # (a, b) with a << b and a > 0, if any
-
-
-def _scan_view(arith: Arithmetic) -> Arithmetic:
-    # scans must be total over the window; clamp duals at the top
-    if arith.kind == DUAL and arith.overflow == ERROR:
-        return arith.with_overflow(SATURATE)
-    return arith
 
 
 def _check_upper(arith: Arithmetic, upper: int) -> None:
@@ -141,11 +132,10 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
     arity, needs_mul, equations = _LAWS[law]
-    scan = _scan_view(arith)
-    if needs_mul and not scan.multiplicative:
+    if needs_mul and not arith.multiplicative:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
     axes = _axes(upper, arity)
-    mask = reduce(np.logical_or, (_side(scan, lhs, axes) != _side(scan, rhs, axes) for lhs, rhs in equations))
+    mask = reduce(np.logical_or, (_side(arith, lhs, axes) != _side(arith, rhs, axes) for lhs, rhs in equations))
     count = int(np.count_nonzero(mask))
     if not count:
         return LawReport(law, HOLDS, None, upper, mask.size, 0)
@@ -153,14 +143,13 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     return LawReport(law, FAILS, witness, upper, mask.size, count)
 
 
-def check_all_laws(arith: Arithmetic, upper: int) -> list[LawReport]:
-    return [check_law(arith, law, upper) for law in ALL_LAWS]
-
-
-def _fixed_point_index(scan: Arithmetic, mi: int) -> int:
+def _fixed_point_index(arith: Arithmetic, mi: int) -> int:
     s = mi
-    for _ in range(scan.carrier.size):
-        nxt = scan.add_index(s, mi)
+    for _ in range(arith.carrier.size):
+        try:
+            nxt = arith.add_index(s, mi)
+        except CarrierExhaustedError:  # a dual sum left the window: it stops at the top
+            return arith.carrier.size - 1
         if nxt == s:
             return s
         s = nxt
@@ -176,10 +165,9 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
     fixed point strictly below some n in range counts as a witness.
     """
     _check_upper(arith, upper)
-    scan = _scan_view(arith)
-    top = scan.carrier.size - 1
+    top = arith.carrier.size - 1
     for mi in range(1, upper + 1):
-        fp = _fixed_point_index(scan, mi)
+        fp = _fixed_point_index(arith, mi)
         if fp == top:
             continue
         ni = fp + 1
@@ -198,53 +186,8 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
     archimedean = check_archimedean(arith, upper).archimedean  # validates upper
     b, a = _axes(upper, 2)
     # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality and is no evidence
-    cell = _smallest_witness((_apply(_scan_view(arith), "add", b, a) == b) & (a > 0))
+    cell = _smallest_witness((_apply(arith, "add", b, a) == b) & (a > 0))
     mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
     only_zero = cell is None
     status = CONSISTENT if archimedean == only_zero else INCONSISTENT
     return TheoremReport(status, archimedean, only_zero, upper, mll_witness)
-
-
-def find_largest_number(arith: Arithmetic):
-    """Least carrier value absorbing under addition, or None.
-
-    Uses the arithmetic exactly as constructed: a dual arithmetic that
-    errors on exhaustion has no absorbing element.  Since add is monotone
-    in each argument, L absorbs everything iff add(L, top) == L.
-    """
-    top = arith.carrier.size - 1
-    for i in range(arith.carrier.size):
-        try:
-            if arith.add_index(i, top) == i:
-                return arith.carrier.value_at(i)
-        except CarrierExhaustedError:
-            continue
-    return None
-
-
-def search_identities(arith: Arithmetic, pattern: str, upper: int) -> list:
-    """All witnesses of a + b = a (b > 0) or a * a = a (a > 1) within [0..R]."""
-    _check_upper(arith, upper)
-    results: list = []
-    value_at = arith.carrier.value_at
-    if pattern == "a_plus_b_eq_a":
-        for ai in range(upper + 1):
-            for bi in range(1, upper + 1):
-                try:
-                    if arith.add_index(ai, bi) == ai:
-                        results.append((value_at(ai), value_at(bi)))
-                except CarrierExhaustedError:
-                    continue
-        return results
-    if pattern == "a_times_a_eq_a":
-        if not arith.multiplicative:
-            raise MultiplicationUnavailableError(
-                f"pattern {pattern!r} needs multiplication, unavailable for {arith.spec}")
-        for ai in range(2, upper + 1):
-            try:
-                if arith.mul_index(ai, ai) == ai:
-                    results.append(value_at(ai))
-            except CarrierExhaustedError:
-                continue
-        return results
-    raise ValueError(f"unknown pattern {pattern!r}")

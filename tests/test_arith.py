@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nda.arith import ERROR, SATURATE, Arithmetic
+from nda.arith import Arithmetic
 from nda.carrier import Carrier
 from nda.errors import (
     CarrierExhaustedError,
     MultiplicationUnavailableError,
     SpecError,
-    SuccessorOfTopError,
     ValidationError,
 )
 from nda.funcparam import from_spec as f_from_spec
@@ -35,15 +34,6 @@ class TestConstruction:
     def test_rejected_f(self):
         with pytest.raises(ValidationError):
             arith("projective:atanh:0.5@grid:0:1:0.001")
-
-    def test_projective_cannot_error_on_overflow(self):
-        c = Carrier.integers(10)
-        with pytest.raises(ValidationError):
-            Arithmetic(c, f_from_spec("id"), "projective", overflow="error")
-
-    def test_defaults(self):
-        assert arith("projective:id@int:0:10").overflow == "saturate"
-        assert arith("dual:id@int:0:10").overflow == "error"
 
 
 class TestAdd:
@@ -76,10 +66,6 @@ class TestAdd:
     def test_dual_exhausts(self):
         with pytest.raises(CarrierExhaustedError):
             arith("dual:id@int:0:10").add(9, 9)
-
-    def test_dual_saturating_variant(self):
-        a = arith("dual:id@int:0:10").with_overflow("saturate")
-        assert a.add(9, 9) == 10
 
     def test_grid_identity(self):
         a = arith("projective:id@grid:0:1:0.001")
@@ -170,19 +156,6 @@ class TestRelations:
     def test_mll_identity_false(self):
         assert not arith("projective:id@int:0:100").mll(1, 5)
 
-    def test_mll_dual_quad(self):
-        # f(5)+f(1) = 16; the least triangular number >= 16 is f(6) = 21
-        assert arith("dual:quad@int:0:100").mll_dual(1, 5)
-
-    def test_mll_dual_identity(self):
-        a = arith("dual:id@int:0:100")
-        assert a.mll_dual(1, 5)
-        assert not a.mll_dual(2, 5)
-
-    def test_mll_dual_top_errors(self):
-        with pytest.raises(SuccessorOfTopError):
-            arith("dual:id@int:0:100").mll_dual(1, 100)
-
     def test_mlll_one_for_all(self):
         for spec in ("projective:pow:2@int:0:100", "projective:exp2m1@int:0:100",
                      "dual:quad@int:0:100"):
@@ -206,63 +179,75 @@ class TestClosedForms:
                 assert a.add_index(x, y) == max(x, y)
 
     def test_identity_matches_clamped_integers(self):
+        idx = np.arange(61)
         for kind in ("projective", "dual"):
-            a = Arithmetic(Carrier.integers(60), f_from_spec("id"), kind, "saturate")
+            a = Arithmetic(Carrier.integers(60), f_from_spec("id"), kind)
+            assert a.index_table("add", idx[:, None], idx[None, :]).tolist() == [
+                [min(x + y, 60) for y in range(61)] for x in range(61)]
+            assert a.index_table("mul", idx[:, None], idx[None, :]).tolist() == [
+                [min(x * y, 60) for y in range(61)] for x in range(61)]
             for x in range(61):
                 for y in range(61):
-                    assert a.add(x, y) == min(x + y, 60)
-                    assert a.mul(x, y) == min(x * y, 60)
                     assert a.sub(x, y) == max(x - y, 0)
 
     def test_agrees_with_linear_scan_reference(self):
+        points = range(0, 41, 3)
+        idx = np.array(points)
         for name in ("pow:1.5", "quad", "exp2m1"):
             fvals = f_values(name, 41)
             for kind in ("projective", "dual"):
-                a = Arithmetic(Carrier.integers(40), f_from_spec(name), kind, "saturate")
-                for x in range(0, 41, 3):
-                    for y in range(0, 41, 3):
-                        assert a.add_index(x, y) == ref_add(fvals, kind, x, y)
+                a = Arithmetic(Carrier.integers(40), f_from_spec(name), kind)
+                assert a.index_table("add", idx[:, None], idx[None, :]).tolist() == [
+                    [ref_add(fvals, kind, x, y) for y in points] for x in points]
 
 
-def scalar_row(apply, i, size):
-    """apply(i, j) for every j by the scalar path, or None if any cell exhausts the carrier."""
+def scalar_cell(apply, i, j, top):
+    """apply(i, j) by the scalar path, or the top index where it exhausts the carrier."""
     try:
-        return [apply(i, j) for j in range(size)]
+        return apply(i, j)
     except CarrierExhaustedError:
-        return None
+        return top
 
 
 def assert_index_table_exact(a, ops):
-    idx = np.arange(a.carrier.size)
+    size = a.carrier.size
+    idx = np.arange(size)
     for op in ops:
         apply = a.add_index if op == "add" else a.mul_index
-        rows = [scalar_row(apply, i, a.carrier.size) for i in range(a.carrier.size)]
+        rows = [[scalar_cell(apply, i, j, size - 1) for j in range(size)] for i in range(size)]
         for i, row in enumerate(rows):
-            if row is None:  # one exhausted cell fails the whole table
-                with pytest.raises(CarrierExhaustedError):
-                    a.index_table(op, i, idx)
-            else:
-                assert a.index_table(op, i, idx).tolist() == row
-        if None in rows:
-            with pytest.raises(CarrierExhaustedError):
-                a.index_table(op, idx[:, None], idx[None, :])
-        else:
-            assert a.index_table(op, idx[:, None], idx[None, :]).tolist() == rows
+            assert a.index_table(op, i, idx).tolist() == row
+        assert a.index_table(op, idx[:, None], idx[None, :]).tolist() == rows
+
+
+def assert_exhausts_past_top(a, ops):
+    """The scalar dual op raises on exactly the cells whose target passes f(top)."""
+    size = a.carrier.size
+    fvals = f_values(a.f.name, size)
+    for op in ops:
+        apply = a.add_index if op == "add" else a.mul_index
+        combine = (lambda u, v: u + v) if op == "add" else (lambda u, v: u * v)
+        for i in range(size):
+            raised = [scalar_cell(apply, i, j, None) is None for j in range(size)]
+            assert raised == [combine(fvals[i], fvals[j]) > fvals[-1] for j in range(size)]
 
 
 class TestIndexTable:
     """The array form of add_index / mul_index agrees with it on every cell."""
 
-    @pytest.mark.parametrize("spec, overflow, ops", [
+    @pytest.mark.parametrize("spec, exhausted, ops", [
         ("projective:pow:1.5@int:0:1000", None, ("add", "mul")),  # float64
         ("projective:atanh:1@grid:0:1:0.01", None, ("add",)),  # float64 with f(top) = inf
-        ("dual:pow:2@int:0:1000", SATURATE, ("add", "mul")),  # int64
-        ("dual:pow:2@int:0:1000", ERROR, ("add", "mul")),
+        ("dual:pow:2@int:0:1000", "saturate", ("add", "mul")),  # int64
+        ("dual:pow:2@int:0:1000", "error", ("add", "mul")),
         ("projective:exp2m1@int:0:100", None, ("add", "mul")),  # object: f passes 2^53
     ])
-    def test_matches_scalar_path(self, spec, overflow, ops):
+    def test_matches_scalar_path(self, spec, exhausted, ops):
+        """A dual table clamps to the top ("saturate") exactly where the scalar op raises ("error")."""
         a = arith(spec)
-        assert_index_table_exact(a.with_overflow(overflow) if overflow else a, ops)
+        assert_index_table_exact(a, ops)
+        if exhausted == "error":
+            assert_exhausts_past_top(a, ops)
 
     def test_mul_unavailable(self):
         a = arith("projective:atanh:1@grid:0:1:0.01")
@@ -275,7 +260,6 @@ class TestIndexTable:
         path.write_text("0 0\n1 1\n2 2.5\n3 4\n4 7.25\n5 11\n6 16.5\n")
         a = arith(f"{kind}:table:{path}@int:0:6")
         assert_index_table_exact(a, ("add", "mul"))
-        assert_index_table_exact(a.with_overflow(SATURATE), ("add", "mul"))
 
 
 class TestLightspeed:
@@ -300,16 +284,24 @@ ARITH_SPECS = st.sampled_from([
 ])
 
 
+def outcome(op, x, y):
+    """op(x, y), or CarrierExhaustedError where a dual op runs past the top."""
+    try:
+        return op(x, y)
+    except CarrierExhaustedError:
+        return CarrierExhaustedError
+
+
 @given(ARITH_SPECS, st.integers(0, 100), st.integers(0, 100))
 def test_commutativity(spec, x, y):
-    a = Arithmetic.from_spec(spec).with_overflow("saturate")
-    assert a.add(x, y) == a.add(y, x)
-    assert a.mul(x, y) == a.mul(y, x)
+    a = Arithmetic.from_spec(spec)
+    assert outcome(a.add, x, y) == outcome(a.add, y, x)
+    assert outcome(a.mul, x, y) == outcome(a.mul, y, x)
 
 
 @given(ARITH_SPECS, st.integers(0, 100))
 def test_neutral_elements_exact(spec, x):
-    a = Arithmetic.from_spec(spec).with_overflow("saturate")
+    a = Arithmetic.from_spec(spec)
     assert a.add(x, 0) == x
     assert a.mul(x, 1) == x
 

@@ -6,7 +6,6 @@ from nda.errors import (
     CarrierIndexError,
     OffCarrierError,
     SpecError,
-    SuccessorOfTopError,
     ValidationError,
 )
 
@@ -89,26 +88,6 @@ class TestIndexOf:
             Carrier.grid(1.0, 0.001).index_of(0.0005)
 
 
-class TestSucc:
-    def test_integer(self):
-        assert Carrier.integers(100).succ(5) == 6
-
-    def test_grid(self):
-        c = Carrier.grid(1.0, 0.001)
-        assert c.succ(0.5) == c.value_at(501)
-
-    def test_top_has_no_successor(self):
-        with pytest.raises(SuccessorOfTopError):
-            Carrier.integers(100).succ(100)
-
-    def test_chain_reaches_top(self):
-        c = Carrier.integers(20)
-        v = 0
-        for _ in range(c.size - 1):
-            v = c.succ(v)
-        assert v == c.max
-
-
 @given(st.integers(min_value=0, max_value=200))
 def test_round_trip_integers(i):
     c = Carrier.integers(200)
@@ -119,12 +98,6 @@ def test_round_trip_integers(i):
 def test_round_trip_grid(i):
     c = Carrier.grid(1.0, 0.001)
     assert c.index_of(c.value_at(i)) == i
-
-
-@given(st.integers(min_value=0, max_value=999))
-def test_succ_strictly_increasing_on_grid(i):
-    c = Carrier.grid(1.0, 0.001)
-    assert c.succ(c.value_at(i)) > c.value_at(i)
 
 
 def test_contains():

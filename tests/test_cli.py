@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,25 @@ def test_repl_laws_prints_the_records_of_the_laws_command(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(":format json\n:laws assoc-add 12\n"))
     assert cli.main(["repl", spec]) == 0
     assert capsys.readouterr().out == direct
+
+
+def test_closed_stdout_exits_quietly():
+    # 1,000 help texts (some 300 KB) overflow the pipe buffer, so the child is
+    # still writing when the reader closes after the first line; the 6 KB of
+    # input fits in the stdin pipe, so writing it cannot block
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen([sys.executable, "-m", "nda", "repl", "projective:id@int:0:10"],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    child.stdin.write(b":help\n" * 1000)
+    child.stdin.close()
+    assert child.stdout.readline() == b"directives:\n"
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""  # no Traceback, no "Exception ignored" from the flush at exit

@@ -1,0 +1,64 @@
+import pytest
+
+from nda import cli
+from nda.arith import Arithmetic
+from nda.errors import LexError, OffCarrierError, ParseError
+from nda.exprlang import (
+    LT,
+    MLL,
+    MLLL,
+    NUMBER,
+    Binary,
+    Literal,
+    evaluate,
+    parse_text,
+    tokenize,
+)
+
+POW2 = "projective:pow:2@int:0:100"
+
+
+@pytest.mark.parametrize("text, char", [("٣+1", "٣"), ("²", "²"), ("1+1٣", "٣")])
+def test_non_ascii_digits_are_lex_errors(text, char):
+    with pytest.raises(LexError, match=f"unknown character {char!r}"):
+        tokenize(text)
+
+
+@pytest.mark.parametrize("text", ["٣+1", "²"])
+def test_non_ascii_digits_exit_3(text, monkeypatch, capsys):
+    monkeypatch.delenv("NDA_FORMAT", raising=False)
+    assert cli.main(["eval", POW2, text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("evaluation error: unknown character")
+
+
+def test_longest_match_relations():
+    tokens = tokenize("1<<<2<<3<4")
+    assert [(t.kind, t.lexeme, t.position) for t in tokens if t.kind != NUMBER] == [
+        (MLLL, "<<<", 1), (MLL, "<<", 5), (LT, "<", 8)]
+
+
+@pytest.mark.parametrize("text, offset", [("٣x", 0), ("12 + ٣٣ + x", 5)])
+def test_lex_error_offset_after_multibyte_character(text, offset):
+    # only ASCII is consumed, so the error lands on the first two-byte
+    # character at its byte offset; a lexer that consumed '٣' as a digit
+    # would blame a later character at an offset counted in characters
+    with pytest.raises(LexError, match="'٣'") as exc:
+        tokenize(text)
+    assert exc.value.offset == offset
+
+
+def test_addition_folds_left():
+    assert parse_text("1+2+3") == Binary("add", Binary("add", Literal(1), Literal(2)), Literal(3))
+
+
+def test_relation_inside_parentheses_rejected():
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_text("(1 == 1)")
+
+
+def test_off_carrier_literal_rejected():
+    node = parse_text("1.5 + 1")
+    with pytest.raises(OffCarrierError, match="literal 1.5 is not on carrier int:0:100"):
+        evaluate(node, Arithmetic.from_spec(POW2))

@@ -143,6 +143,23 @@ class TestLoadTable(object):
         f = load_table(self._write(tmp_path, "# header\n0 0\n\n1 1  # inline\n2 4\n"))
         assert f.evaluate(2) == 4
 
+    def test_decimal_x_values_bind_on_grid(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004, not the table's 0.3
+        grid = Carrier.grid(1.0, 0.1)
+        assert grid.value_at(3) != 0.3
+        rows = "".join(f"{x / 10} {x}\n" for x in range(11))
+        f = load_table(self._write(tmp_path, rows))
+        assert validate(f, grid).ok
+        assert [f.evaluate(grid.value_at(i)) for i in range(11)] == list(range(11))
+
+    def test_grid_point_without_entry_rejected(self, tmp_path):
+        grid = Carrier.grid(1.0, 0.1)
+        rows = "".join(f"{x / 10} {x}\n" for x in range(11) if x != 5)
+        f = load_table(self._write(tmp_path, rows))
+        with pytest.raises(ValidationError, match="no entry"):
+            f.evaluate(grid.value_at(5))
+        assert validate(f, grid).failure_index == 5
+
     def test_missing_file(self):
         with pytest.raises(TableError):
             load_table("/no/such/file.tbl")

@@ -4,18 +4,14 @@ import pytest
 
 from nda import laws
 from nda.arith import Arithmetic
-from nda.errors import MultiplicationUnavailableError
 from nda.laws import (
     ALL_LAWS,
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
     CONSISTENT,
-    check_all_laws,
     check_archimedean,
     check_law,
-    find_largest_number,
-    search_identities,
     verify_archimedean_theorem,
 )
 
@@ -121,7 +117,9 @@ def test_distributivity_quad_witness_pinned():
 
 def test_identity_holds_everything():
     for kind in ("projective", "dual"):
-        for report in check_all_laws(arith(f"{kind}:id@int:0:200"), 200):
+        a = arith(f"{kind}:id@int:0:200")
+        for law in ALL_LAWS:
+            report = check_law(a, law, 200)
             assert report.status == HOLDS, report
 
 
@@ -221,42 +219,3 @@ class TestTheorem:
         report = verify_archimedean_theorem(arith("dual:quad@int:0:200"), 150)
         assert report.archimedean and report.mll_only_zero
         assert report.mll_witness is None
-
-
-class TestLargestNumber:
-    def test_saturation_top(self):
-        assert find_largest_number(arith("projective:id@int:0:100")) == 100
-
-    def test_exp2m1_least_absorber_is_top(self):
-        a = arith("projective:exp2m1@int:0:100")
-        assert a.add(50, 99) == 99  # 50 absorbs smaller values but not larger ones
-        assert find_largest_number(a) == 100
-
-    def test_dual_with_error_has_none(self):
-        assert find_largest_number(arith("dual:id@int:0:100")) is None
-
-    def test_projective_builtins_all_have_top(self):
-        for name in ("pow:1.5", "pow:2", "quad"):
-            assert find_largest_number(arith(f"projective:{name}@int:0:50")) == 50
-
-
-class TestIdentities:
-    def test_exp2m1_matches_closed_form(self):
-        a = arith("projective:exp2m1@int:0:100")
-        found = search_identities(a, "a_plus_b_eq_a", 10)
-        expected = [(x, y) for x in range(11) for y in range(1, 11) if y <= x]
-        assert found == expected
-
-    def test_identity_below_saturation_empty(self):
-        assert search_identities(arith("projective:id@int:0:100"), "a_plus_b_eq_a", 50) == []
-
-    def test_pow2_squares_never_fix(self):
-        assert search_identities(arith("projective:pow:2@int:0:100"), "a_times_a_eq_a", 50) == []
-
-    def test_multiplication_pattern_needs_mul(self):
-        with pytest.raises(MultiplicationUnavailableError):
-            search_identities(arith("projective:atanh:1@grid:0:1:0.001"), "a_times_a_eq_a", 10)
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
-            search_identities(arith("projective:id@int:0:10"), "nope", 5)
