@@ -15,7 +15,8 @@ No numeric inverse of f is ever computed: the memoised f values form a
 strictly increasing array and every operation is a binary search over it.
 Single operations bisect the Python list; whole tables of operations
 (``index_table``) run one ``np.searchsorted`` over an array of the same
-values, held in float64 or int64 only where that is exact.
+values, held in float64 or int64 only where that is exact; ``op_table``
+memoises one such table per operation over a square of leading indices.
 Extended reals participate: +inf is an absorbing target and the projective
 search maps it to the top element.
 """
@@ -60,6 +61,7 @@ class Arithmetic:
         self.kind = kind
         self.multiplicative = report.multiplicative
         self._fvals = fvals
+        self._op_tables: dict[str, np.ndarray] = {}
 
     @classmethod
     def from_spec(cls, spec: str) -> "Arithmetic":
@@ -125,6 +127,19 @@ class Arithmetic:
         else:
             out = np.minimum(np.searchsorted(fv, target, side="left"), len(fv) - 1)
         return out.astype(np.int32)  # half the memory of intp in gathered law scans
+
+    def op_table(self, op: str, extent: int) -> np.ndarray:
+        """index_table of op over [0..extent]^2, memoised; rebuilt only for a larger extent."""
+        table = self._op_tables.get(op)
+        if table is None or len(table) <= extent:
+            n = extent + 1
+            table = np.empty((n, n), dtype=np.int32)
+            cols = np.arange(n)[None, :]
+            rows = max(1, (1 << 16) // n)  # blocks of some 64K cells keep a build's temporaries small
+            for lo in range(0, n, rows):
+                table[lo:lo + rows] = self.index_table(op, np.arange(lo, min(lo + rows, n))[:, None], cols)
+            self._op_tables[op] = table
+        return table[:extent + 1, :extent + 1]
 
     def add_index(self, i: int, j: int) -> int:
         fv = self._fvals

@@ -6,9 +6,10 @@ stable field names, ``--format csv`` a fixed header row plus data rows.
 The NDA_FORMAT environment variable changes the default; flags win.
 
 Exit codes are a contract: 0 success, 1 usage (also an argument out of
-range, such as a refused oversize law scan), 2 the functional parameter or
-carrier was rejected, 3 an evaluation failed (off-carrier value, carrier
-exhausted, multiplication unavailable, bad expression).
+range, such as a law scan refused for its size, see the laws module),
+2 the functional parameter or carrier was rejected (also a carrier of more
+than carrier.MAX_SIZE points), 3 an evaluation failed (off-carrier value,
+carrier exhausted, multiplication unavailable, bad expression).
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
 """Exhaustive verification of classical laws over a finite range.
 
 Laws are data: an arity and equations whose sides compose add and mul over
-broadcast index axes, each operation gathered from one table over its
-distinct operands (``Arithmetic.index_table``).  A scan of carrier indices
-[0, R] holds O((R+1)^arity) cells at once; one of more than MAX_SCAN_CELLS
-cells is refused before anything is allocated.  Reports give holds / fails /
+index axes a, b, c, each op gathered from its memoised int32 table over
+[0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
+is read off the sides at the corner (R, ..., R) before anything is built.
+The cube [0..R]^arity is scanned in chunks of the leading index of at most
+MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides and a mask, some
+290 MB): R = 300 is one chunk, R = 1000 is 33.  An op whose table would pass
+MAX_TABLE_CELLS cells (32 MB) is gathered from a table over its distinct
+operands instead, whose size only the cube bounds: such a scan of more than
+MAX_SCAN_CELLS cells is refused.  Reports give holds / fails /
 not-applicable, the exact violation count and the smallest counterexample:
-least largest component, then lexicographic, which is the first violation
-in C order of the least cube [0..k]^arity that holds one.
+least largest component, then lexicographic, which is the first violation in
+C order of the least cube [0..k]^arity that holds one.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -16,7 +21,7 @@ defined and reports are finite-window approximations of an infinite family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -30,10 +35,9 @@ NOT_APPLICABLE = "not-applicable"
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
-# A scan holds two gathered int32 sides and a violation mask, 9 bytes a cell:
-# 32M cells are some 290 MB.  That admits the 3-ary laws up to R = 316 and
-# refuses R = 1000 (1G cells, 9 GB).
+# Cells in one chunk of a scan (9 bytes each), and in the largest op table (4 bytes each)
 MAX_SCAN_CELLS = 32_000_000
+MAX_TABLE_CELLS = MAX_SCAN_CELLS // 4
 
 
 @dataclass(frozen=True)
@@ -79,29 +83,57 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _axes(upper: int, arity: int) -> tuple[np.ndarray, ...]:
-    """Index axes that broadcast to the cube [0..upper]^arity; refuses an oversize cube."""
-    if (upper + 1) ** arity > MAX_SCAN_CELLS:
-        raise ValueError(f"scan of {(upper + 1) ** arity} cells exceeds the limit {MAX_SCAN_CELLS}; lower R")
-    return np.ix_(*[np.arange(upper + 1)] * arity)
+def _clamped(arith: Arithmetic, op: str, i: int, j: int) -> int:
+    """add_index / mul_index with a dual sum past f(top) clamped to the top, as op tables do."""
+    try:
+        return arith.add_index(i, j) if op == "add" else arith.mul_index(i, j)
+    except CarrierExhaustedError:
+        return arith.carrier.size - 1
 
 
-def _apply(scan: Arithmetic, op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """op over broadcastable index arrays, through one table over their distinct values."""
-    ux, ix = np.unique(x, return_inverse=True)
-    uy, iy = np.unique(y, return_inverse=True)
-    table = scan.index_table(op, ux[:, None], uy[None, :])
-    return table[ix.reshape(x.shape), iy.reshape(y.shape)]
-
-
-def _side(scan: Arithmetic, side, axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Indices of one side of an equation: an axis name, a carrier value, or (op, side, side)."""
+def _side(apply, arith: Arithmetic, side, axes):
+    """One side of an equation (an axis name, a carrier value, or (op, side, side)) under apply(op, x, y)."""
     if isinstance(side, str):
         return axes["abc".index(side)]
     if isinstance(side, int):
-        return np.array(scan.carrier.index_of(side))
+        return np.array(arith.carrier.index_of(side))
     op, x, y = side
-    return _apply(scan, op, _side(scan, x, axes), _side(scan, y, axes))
+    return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes))
+
+
+def _tables(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, np.ndarray]:
+    """The op table of each op in the sides that fits MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
+    extents: dict[str, int] = {}
+
+    def corner(op: str, i, j) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
+        extents[op] = max(extents.get(op, 0), int(i), int(j))
+        return _clamped(arith, op, int(i), int(j))
+
+    for side in sides:
+        _side(corner, arith, side, (upper,) * 3)
+    fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
+    if not all(fits.values()) and (upper + 1) ** arity > MAX_SCAN_CELLS:
+        cells = max((extent + 1) ** 2 for extent in extents.values())
+        raise ValueError(f"op table of {cells} cells for R = {upper} exceeds the limit {MAX_TABLE_CELLS} "
+                         f"and the scan of {(upper + 1) ** arity} cells the limit {MAX_SCAN_CELLS}; lower R")
+    return {op: arith.op_table(op, extent) for op, extent in extents.items() if fits[op]}
+
+
+def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """op's table[x, y]; where x varies only on axes before y's, two np.take calls in place of a fancy index."""
+    table = tables.get(op)
+    if table is None:  # too large: a table over the distinct operands only
+        ux, ix = np.unique(x, return_inverse=True)
+        uy, iy = np.unique(y, return_inverse=True)
+        return arith.index_table(op, ux[:, None], uy[None, :])[ix.reshape(x.shape), iy.reshape(y.shape)]
+    vx = [d for d, n in enumerate(x.shape) if n > 1]
+    vy = [d for d, n in enumerate(y.shape) if n > 1]
+    if vx and vy and vx[-1] >= vy[0]:
+        return table[x, y]
+    shape, xr, yr = np.broadcast_shapes(x.shape, y.shape), x.ravel(), y.ravel()
+    if xr.size <= yr.size:  # take the shorter operand's rows or columns first
+        return np.take(np.take(table, xr, axis=0), yr, axis=1).reshape(shape)
+    return np.take(np.take(table, yr, axis=1), xr, axis=0).reshape(shape)
 
 
 # name -> (arity, needs_mul, equations), each equation an (lhs, rhs) pair of sides
@@ -117,13 +149,17 @@ _LAWS = {
 ALL_LAWS = tuple(_LAWS)
 
 
-def _smallest_witness(mask: np.ndarray) -> tuple[int, ...] | None:
-    """Least violation by largest component, then lexicographic: first in C order in the least cube."""
-    for k in range(mask.shape[0]):
-        cube = mask[(slice(0, k + 1),) * mask.ndim]
-        if any(cube[(slice(None),) * d + (k,)].any() for d in range(mask.ndim)):
-            return tuple(int(i) for i in np.unravel_index(np.argmax(cube), cube.shape))
-    return None
+def _least_violation(mask: np.ndarray, lo: int = 0) -> tuple[int, ...] | None:
+    """Least True cell (largest component, then lexicographic) of a chunk whose leading index starts at lo."""
+    offsets = (lo,) + (0,) * (mask.ndim - 1)
+    first = mask.argmax(axis=-1)  # only the first True cell along the last axis can be least
+    hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
+    if not hit.any():
+        return None
+    lead = np.indices(first.shape, sparse=True)
+    key = reduce(np.maximum, [i + o for i, o in zip(lead, offsets)], first + offsets[-1])
+    cell = np.unravel_index(np.argmin(np.where(hit, key, mask.size + lo)), first.shape)
+    return tuple(int(i) + o for i, o in zip(cell + (first[cell],), offsets))
 
 
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
@@ -134,22 +170,27 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     arity, needs_mul, equations = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    axes = _axes(upper, arity)
-    mask = reduce(np.logical_or, (_side(arith, lhs, axes) != _side(arith, rhs, axes) for lhs, rhs in equations))
-    count = int(np.count_nonzero(mask))
-    if not count:
-        return LawReport(law, HOLDS, None, upper, mask.size, 0)
-    witness = tuple(arith.carrier.value_at(i) for i in _smallest_witness(mask))
-    return LawReport(law, FAILS, witness, upper, mask.size, count)
+    tables = _tables(arith, [side for equation in equations for side in equation], upper, arity)
+    gather, n = partial(_gather, arith, tables), upper + 1
+    rows = max(1, MAX_SCAN_CELLS // n ** (arity - 1))  # leading indices a chunk
+    count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
+    for lo in range(0, n, rows):
+        axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
+        mask = reduce(np.logical_or, (_side(gather, arith, lhs, axes) != _side(gather, arith, rhs, axes)
+                                      for lhs, rhs in equations))
+        hits = int(np.count_nonzero(mask))
+        count += hits
+        if hits and lo < best[0]:  # a chunk's largest components are at least lo
+            cell = _least_violation(mask, lo)
+            best = min(best, (max(cell), cell))
+    witness = best[1] and tuple(arith.carrier.value_at(i) for i in best[1])
+    return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
 
 
 def _fixed_point_index(arith: Arithmetic, mi: int) -> int:
     s = mi
     for _ in range(arith.carrier.size):
-        try:
-            nxt = arith.add_index(s, mi)
-        except CarrierExhaustedError:  # a dual sum left the window: it stops at the top
-            return arith.carrier.size - 1
+        nxt = _clamped(arith, "add", s, mi)  # a dual sum that leaves the window stops at the top
         if nxt == s:
             return s
         s = nxt
@@ -160,16 +201,13 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
     """Search for m whose repeated sums get stuck below some n <= R.
 
     Repeated sums on the finite window either reach a genuine fixed point or
-    climb to the saturated top.  The top is excluded as evidence: a sum that
-    reaches it may well have kept growing on a larger carrier, so only a
-    fixed point strictly below some n in range counts as a witness.
+    climb to the saturated top.  The top is no evidence: a sum that reaches
+    it may well have kept growing on a larger carrier, so only a fixed point
+    strictly below some n <= R counts as a witness, which the top never is.
     """
     _check_upper(arith, upper)
-    top = arith.carrier.size - 1
     for mi in range(1, upper + 1):
         fp = _fixed_point_index(arith, mi)
-        if fp == top:
-            continue
         ni = fp + 1
         if ni <= upper:
             return ArchimedeanReport(
@@ -184,9 +222,12 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
 def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
     """Check Archimedean <=> (a << b only for a = 0), both sides computed."""
     archimedean = check_archimedean(arith, upper).archimedean  # validates upper
-    b, a = _axes(upper, 2)
-    # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality and is no evidence
-    cell = _smallest_witness((_apply(arith, "add", b, a) == b) & (a > 0))
+    b, a = np.ix_(np.arange(upper + 1), np.arange(upper + 1))
+    add = _gather(arith, _tables(arith, [("add", "b", "a")], upper, 2), "add", b, a)
+    # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality, and b = top only
+    # by saturation, which is no evidence, as in check_archimedean
+    mll = (add == b) & (a > 0) & (b < arith.carrier.size - 1)
+    cell = _least_violation(mll)
     mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
     only_zero = cell is None
     status = CONSISTENT if archimedean == only_zero else INCONSISTENT

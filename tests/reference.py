@@ -15,10 +15,10 @@ def f_values(name: str, points: int) -> list:
     """Direct evaluation of a built-in f over integer carrier indices 0..points-1."""
     if name == "id":
         return list(range(points))
-    if name == "pow:1.5":
-        return [math.pow(v, 1.5) for v in range(points)]
     if name == "pow:2":
         return [v * v for v in range(points)]
+    if name.startswith("pow:"):
+        return [math.pow(v, float(name[4:])) for v in range(points)]
     if name == "exp2m1":
         return [(1 << v) - 1 for v in range(points)]
     if name == "quad":

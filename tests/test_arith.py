@@ -254,6 +254,18 @@ class TestIndexTable:
         with pytest.raises(MultiplicationUnavailableError):
             a.index_table("mul", np.arange(3)[:, None], np.arange(3)[None, :])
 
+    def test_op_table_memoised(self, monkeypatch):
+        a = arith("dual:pow:2@int:0:1000")
+        full = a.index_table("add", np.arange(1001)[:, None], np.arange(1001)[None, :])
+        assert np.array_equal(a.op_table("add", 10), full[:11, :11])
+        assert np.array_equal(a.op_table("add", 1000), full)  # rebuilt larger, in blocks of rows
+
+        def no_build(*args):
+            raise AssertionError("a memoised table was rebuilt")
+
+        monkeypatch.setattr(Arithmetic, "index_table", no_build)
+        assert np.array_equal(a.op_table("add", 300), full[:301, :301])
+
     @pytest.mark.parametrize("kind", ["projective", "dual"])
     def test_mixed_int_float_table(self, tmp_path, kind):
         path = tmp_path / "mixed.txt"

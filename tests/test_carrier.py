@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nda.carrier import Carrier
+from nda.carrier import MAX_SIZE, Carrier
 from nda.errors import (
     CarrierIndexError,
     OffCarrierError,
@@ -36,6 +36,18 @@ class TestConstruction:
     def test_spec_round_trip(self):
         for spec in ("int:0:100", "grid:0:1:0.001"):
             assert Carrier.from_spec(spec).spec == spec
+
+    def test_size_bound(self):
+        assert Carrier.from_spec("grid:0:1:0.00002").size == 50_001
+        assert Carrier.integers(MAX_SIZE - 1).size == MAX_SIZE
+        for spec in (f"int:0:{MAX_SIZE}", f"int:0:{10 ** 400}", "grid:0:1:1e-300", "grid:0:1e300:1e-100"):
+            with pytest.raises(ValidationError, match="exceeds the limit"):
+                Carrier.from_spec(spec)
+
+    def test_grid_must_be_finite(self):
+        for spec in ("grid:0:1:nan", "grid:0:inf:1", "grid:0:nan:0.1", "grid:0:1:inf"):
+            with pytest.raises(ValidationError, match="finite"):
+                Carrier.from_spec(spec)
 
     def test_size_at_least_two(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -37,10 +38,10 @@ REFERENCE_LAW_FNS = {
 }
 
 
-def reference_report(name, kind, law, upper):
-    fvals = f_values(name, 31)
-    add = lambda i, j: ref_add(fvals, kind, i, j)
-    mul = lambda i, j: ref_mul(fvals, kind, i, j)
+def reference_report(name, kind, law, upper, points=31):
+    fvals = f_values(name, points)
+    add = lru_cache(None)(lambda i, j: ref_add(fvals, kind, i, j))
+    mul = lru_cache(None)(lambda i, j: ref_mul(fvals, kind, i, j))
     arity, ok = REFERENCE_LAW_FNS[law]
     violations = []
     for flat in range((upper + 1) ** arity):
@@ -161,7 +162,11 @@ def test_range_bound_validated():
 
 def test_oversize_scan_refused_before_any_table(monkeypatch):
     a = arith("projective:pow:1.5@int:0:30")
-    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", 13 ** 2)  # R=12: the 2-ary scans fit, the 3-ary ones do not
+    # R=12: the 2-ary scans need tables over [0..12]^2; assoc-add and
+    # distributivity need add(12, 12) = 19 and assoc-mul mul(12, 12) = 30
+    # and their tables over distinct operands would need the whole cube
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 13 ** 2)
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", 13 ** 2)
     assert check_law(a, "commutativity-add", 12).pairs_checked == 13 ** 2
     assert verify_archimedean_theorem(a, 12).status == CONSISTENT
 
@@ -172,6 +177,30 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
     for law in ("assoc-add", "assoc-mul", "distributivity"):
         with pytest.raises(ValueError, match="exceeds the limit"):
             check_law(a, law, 12)
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    ("projective:pow:1.5@int:0:40", "float64"),
+    # assoc-add with one leading index a chunk: a=2 holds violations, the witness (3, 4, 4) the next chunk
+    ("projective:pow:1.2@int:0:40", "float64"),
+    ("dual:pow:2@int:0:40", "int64"),
+    ("projective:exp2m1@int:0:40", "object"),
+    ("dual:exp2m1@int:0:40", "object"),
+])
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monkeypatch, upper=22):
+    a = arith(spec)
+    assert a._f_array.dtype == dtype
+    whole = check_law(a, law, upper)
+    kind, name = spec.split("@")[0].split(":", 1)
+    assert (whole.witness, whole.violations) == reference_report(name, kind, law, upper, points=41)
+    arity = laws._LAWS[law][0]
+    for rows in (1, 4):  # 4 does not divide R + 1 = 23, so the last chunk is short
+        monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1) ** (arity - 1))
+        assert check_law(a, law, upper) == whole
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", (upper + 1) ** arity)
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # every op from a table over its distinct operands
+    assert check_law(a, law, upper) == whole
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +243,23 @@ class TestTheorem:
         a, b = report.mll_witness
         assert a > 0
         assert Arithmetic.from_spec("projective:pow:2@int:0:200").mll(a, b)
+
+    @pytest.mark.parametrize("name", ["id", "pow:2", "quad"])
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    def test_top_is_no_mll_evidence(self, kind, name):
+        # add(top, a) saturates at the top: no a << top, so R = top agrees with R = top - 1
+        a = arith(f"{kind}:{name}@int:0:10")
+        at_top, below = verify_archimedean_theorem(a, 10), verify_archimedean_theorem(a, 9)
+        assert at_top.status == below.status == CONSISTENT
+        assert at_top.mll_witness == below.mll_witness
+
+    def test_projective_absorption_below_the_top_counts(self):
+        # rounding down absorbs below the top: sqrt(1 + 1) = 1.41 gives 1 << 1
+        report = verify_archimedean_theorem(arith("projective:pow:2@int:0:10"), 10)
+        assert not report.archimedean
+        assert not report.mll_only_zero
+        assert report.mll_witness == (1, 1)
+        assert report.status == CONSISTENT
 
     def test_archimedean_side(self):
         report = verify_archimedean_theorem(arith("dual:quad@int:0:200"), 150)
