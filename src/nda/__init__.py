@@ -28,6 +28,7 @@ from .laws import (
     TheoremReport,
     check_archimedean,
     check_law,
+    check_laws,
     verify_archimedean_theorem,
 )
 from .series import (
@@ -43,7 +44,7 @@ __all__ = [
     "Arithmetic", "Carrier", "FunctionalParameter", "ValidationReport",
     "PROJECTIVE", "DUAL",
     "LawReport", "ArchimedeanReport", "TheoremReport",
-    "check_law", "check_archimedean", "verify_archimedean_theorem",
+    "check_law", "check_laws", "check_archimedean", "verify_archimedean_theorem",
     "SequenceSpec", "ConvergenceVerdict", "arith_partial_sums", "practical_convergence",
     "load_table", "validate",
     "NdaError", "SpecError", "ValidationError", "TableError",

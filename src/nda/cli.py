@@ -281,14 +281,16 @@ def _theorem_record(report: laws.TheoremReport) -> dict:
 def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[dict]:
     if upper is None:
         upper = min(100, arith.carrier.size - 1)
+    names = _parse_law_list(check_text)
+    scanned = iter(laws.check_laws(arith, [name for name in names if name in laws.ALL_LAWS], upper))
     records = []
-    for name in _parse_law_list(check_text):
+    for name in names:
         if name == "archimedean":
             records.append(_archimedean_record(laws.check_archimedean(arith, upper)))
         elif name == "theorem-archimedean-mll":
             records.append(_theorem_record(laws.verify_archimedean_theorem(arith, upper)))
         else:
-            records.append(_law_record(laws.check_law(arith, name, upper)))
+            records.append(_law_record(next(scanned)))
     return records
 
 

@@ -5,14 +5,16 @@ index axes a, b, c, each op gathered from its memoised int32 table over
 [0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
 is read off the sides at the corner (R, ..., R) before anything is built.
 The cube [0..R]^arity is scanned in chunks of the leading index of at most
-MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides and a mask, some
-290 MB): R = 300 is one chunk, R = 1000 is 33.  An op whose table would pass
-MAX_TABLE_CELLS cells (32 MB) is gathered from a table over its distinct
-operands instead, whose size only the cube bounds: such a scan of more than
-MAX_SCAN_CELLS cells is refused.  Reports give holds / fails /
-not-applicable, the exact violation count and the smallest counterexample:
-least largest component, then lexicographic, which is the first violation in
-C order of the least cube [0..k]^arity that holds one.
+MAX_SCAN_CELLS cells, 9 bytes each: np.take fills two int32 side buffers
+and np.not_equal a bool mask buffer.  One set of buffers (some 290 MB)
+serves a whole audit (check_laws), reused by every chunk, equation and law
+and freed when it returns.  R = 300 is one chunk, R = 1000 is 33.  An op
+whose table would pass MAX_TABLE_CELLS cells (32 MB) is gathered from a
+table over its distinct operands instead, whose size only the cube bounds:
+such a scan of more than MAX_SCAN_CELLS cells is refused.  Reports give
+holds / fails / not-applicable, the exact violation count and the smallest
+counterexample: least largest component, then lexicographic, which is the
+first violation in C order of the least cube [0..k]^arity that holds one.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -20,6 +22,7 @@ defined and reports are finite-window approximations of an infinite family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -91,21 +94,24 @@ def _clamped(arith: Arithmetic, op: str, i: int, j: int) -> int:
         return arith.carrier.size - 1
 
 
-def _side(apply, arith: Arithmetic, side, axes):
-    """One side of an equation (an axis name, a carrier value, or (op, side, side)) under apply(op, x, y)."""
+def _side(apply, arith: Arithmetic, side, axes, buffer=None):
+    """One side of an equation (an axis name, a carrier value, or (op, side, side)) under apply(op, x, y, buffer).
+
+    Only the top op of the side is taken into buffer; inner ops get fresh arrays.
+    """
     if isinstance(side, str):
         return axes["abc".index(side)]
     if isinstance(side, int):
         return np.array(arith.carrier.index_of(side))
     op, x, y = side
-    return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes))
+    return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
 
 
 def _tables(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, np.ndarray]:
     """The op table of each op in the sides that fits MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
     extents: dict[str, int] = {}
 
-    def corner(op: str, i, j) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
+    def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
         extents[op] = max(extents.get(op, 0), int(i), int(j))
         return _clamped(arith, op, int(i), int(j))
 
@@ -119,21 +125,37 @@ def _tables(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, np.nd
     return {op: arith.op_table(op, extent) for op, extent in extents.items() if fits[op]}
 
 
-def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """op's table[x, y]; where x varies only on axes before y's, two np.take calls in place of a fancy index."""
+def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray,
+            buffer: np.ndarray | None = None) -> np.ndarray:
+    """op's table[x, y], taken into a prefix of buffer (a fresh array when None)."""
     table = tables.get(op)
     if table is None:  # too large: a table over the distinct operands only
         ux, ix = np.unique(x, return_inverse=True)
         uy, iy = np.unique(y, return_inverse=True)
-        return arith.index_table(op, ux[:, None], uy[None, :])[ix.reshape(x.shape), iy.reshape(y.shape)]
+        table, x, y = arith.index_table(op, ux[:, None], uy[None, :]), ix.reshape(x.shape), iy.reshape(y.shape)
+    if x.max() >= table.shape[0] or y.max() >= table.shape[1]:  # np.take below wraps instead of raising
+        raise IndexError(f"{op} operand past its table of shape {table.shape}")
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    out = np.empty(shape, np.int32) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+    _take(table, x, y, out)
+    return out
+
+
+def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = table[x, y] by np.take, one leading index at a time where x and y both vary along it."""
     vx = [d for d, n in enumerate(x.shape) if n > 1]
     vy = [d for d, n in enumerate(y.shape) if n > 1]
     if vx and vy and vx[-1] >= vy[0]:
-        return table[x, y]
-    shape, xr, yr = np.broadcast_shapes(x.shape, y.shape), x.ravel(), y.ravel()
+        for i in range(len(out)):  # an operand of length 1 on the leading axis broadcasts
+            _take(table, x[i % len(x)], y[i % len(y)], out[i])
+        return
+    # x varies only on axes before y's, so out is the (x cell, y cell) grid in C order;
+    # mode="wrap" takes straight into out, where "raise" would buffer it
+    xr, yr, grid = x.ravel(), y.ravel(), out.reshape(x.size, y.size)
     if xr.size <= yr.size:  # take the shorter operand's rows or columns first
-        return np.take(np.take(table, xr, axis=0), yr, axis=1).reshape(shape)
-    return np.take(np.take(table, yr, axis=1), xr, axis=0).reshape(shape)
+        np.take(np.take(table, xr, axis=0), yr, axis=1, out=grid, mode="wrap")
+    else:
+        np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
 
 
 # name -> (arity, needs_mul, equations), each equation an (lhs, rhs) pair of sides
@@ -162,22 +184,52 @@ def _least_violation(mask: np.ndarray, lo: int = 0) -> tuple[int, ...] | None:
     return tuple(int(i) + o for i, o in zip(cell + (first[cell],), offsets))
 
 
-def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
-    """Scan one law exhaustively over carrier indices [0, upper]."""
+def _plan(arith: Arithmetic, law: str, upper: int):
+    """(arity, equations, op tables) of a law, None where it is not applicable; refuses an oversize scan."""
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
     arity, needs_mul, equations = _LAWS[law]
     if needs_mul and not arith.multiplicative:
+        return None
+    return arity, equations, _tables(arith, [side for equation in equations for side in equation], upper, arity)
+
+
+def _chunk_rows(arity: int, n: int) -> int:
+    """Leading indices in one chunk of the cube [0..n-1]^arity."""
+    return min(n, max(1, MAX_SCAN_CELLS // n ** (arity - 1)))
+
+
+def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two int32 sides and a bool mask of a chunk of cells."""
+    return np.empty(cells, np.int32), np.empty(cells, np.int32), np.empty(cells, bool)
+
+
+def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = None) -> LawReport:
+    """Scan one law exhaustively over carrier indices [0, upper].
+
+    buffers are the (lhs, rhs, mask) arrays of a chunk that check_laws
+    shares across an audit; a single law allocates its own.
+    """
+    plan = _plan(arith, law, upper)
+    if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    tables = _tables(arith, [side for equation in equations for side in equation], upper, arity)
+    arity, equations, tables = plan
     gather, n = partial(_gather, arith, tables), upper + 1
-    rows = max(1, MAX_SCAN_CELLS // n ** (arity - 1))  # leading indices a chunk
+    rows = _chunk_rows(arity, n)
+    lhs_buffer, rhs_buffer, mask_buffer = buffers or _buffers(rows * n ** (arity - 1))
     count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
-        mask = reduce(np.logical_or, (_side(gather, arith, lhs, axes) != _side(gather, arith, rhs, axes)
-                                      for lhs, rhs in equations))
+        mask = None
+        for lhs, rhs in equations:
+            left = _side(gather, arith, lhs, axes, lhs_buffer)
+            right = _side(gather, arith, rhs, axes, rhs_buffer)
+            if mask is None:  # the chunk's own prefix of the buffer, so no stale cell is counted
+                shape = np.broadcast_shapes(left.shape, right.shape)
+                mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
+            else:
+                mask |= left != right
         hits = int(np.count_nonzero(mask))
         count += hits
         if hits and lo < best[0]:  # a chunk's largest components are at least lo
@@ -185,6 +237,21 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
             best = min(best, (max(cell), cell))
     witness = best[1] and tuple(arith.carrier.value_at(i) for i in best[1])
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
+
+
+def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
+    """check_law of each name in order, all scans sharing one set of buffers sized to the largest chunk.
+
+    Every law is validated, and an oversize scan refused, before the buffers
+    are allocated; nothing outlives the call but the memoised op tables.
+    """
+    n, cells = upper + 1, 0
+    for law in names:
+        plan = _plan(arith, law, upper)
+        if plan is not None:
+            cells = max(cells, _chunk_rows(plan[0], n) * n ** (plan[0] - 1))
+    buffers = _buffers(cells)
+    return [check_law(arith, law, upper, buffers) for law in names]
 
 
 def _fixed_point_index(arith: Arithmetic, mi: int) -> int:

@@ -29,6 +29,8 @@ PRACTICALLY_CONVERGENT = "practically-convergent"
 PRACTICALLY_DIVERGENT = "practically-divergent"
 INCONCLUSIVE = "inconclusive"
 
+MAX_TERMS = 1 << 22  # terms one fold may take; every partial sum is kept
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -113,10 +115,11 @@ def arith_partial_sums(arith: Arithmetic, seq: SequenceSpec, n: int):
 
     Returns (sums, stationary_at) where stationary_at is the least 1-based k
     with s_k = s_{k+1} = ... = s_n, or None if the final sum is never
-    repeated.  Terms must all lie on the carrier.
+    repeated.  Terms must all lie on the carrier.  More than MAX_TERMS
+    terms are refused before any is folded.
     """
-    if n < 1:
-        raise ValueError(f"need at least one term, got n={n}")
+    if not 1 <= n <= MAX_TERMS:
+        raise ValueError(f"need between 1 and {MAX_TERMS:,} terms, got n={n}")
     carrier = arith.carrier
     acc = carrier.index_of(seq.term(1))
     indices = [acc]

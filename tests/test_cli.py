@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nda import cli
+from nda import cli, series
 from nda.arith import Arithmetic
 
 
@@ -31,6 +31,18 @@ def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(Arithmetic, "index_table", no_table)  # a refused op table is never allocated
     assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_overlong_fold_refused_before_any_term(monkeypatch, capsys):
+    def no_term(*args):
+        raise AssertionError("a term was folded for a refused sum")
+
+    monkeypatch.setattr(series.SequenceSpec, "term", no_term)
+    assert cli.main(["series", "sum", "projective:id@int:0:10", "const:1", "-n", "100000000"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ")
     assert "Traceback" not in captured.err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -13,6 +14,7 @@ from nda.laws import (
     CONSISTENT,
     check_archimedean,
     check_law,
+    check_laws,
     verify_archimedean_theorem,
 )
 
@@ -198,9 +200,34 @@ def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monke
     for rows in (1, 4):  # 4 does not divide R + 1 = 23, so the last chunk is short
         monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1) ** (arity - 1))
         assert check_law(a, law, upper) == whole
+        # one audit shares buffers sized to its largest chunk: a short last chunk and
+        # the 1-ary laws after distributivity see a longer buffer than their own cells
+        assert check_laws(a, ALL_LAWS, upper)[ALL_LAWS.index(law)] == whole
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", (upper + 1) ** arity)
     monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # every op from a table over its distinct operands
     assert check_law(a, law, upper) == whole
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_operand_past_a_short_table_raises(law, monkeypatch):
+    # tables are taken from with mode="wrap", so a bounds check must catch an operand past the table
+    tables = laws._tables
+    monkeypatch.setattr(laws, "_tables", lambda *args: {op: t[:-1] for op, t in tables(*args).items()})
+    with pytest.raises(IndexError):
+        check_law(arith("projective:pow:1.5@int:0:1000"), law, 12)
+
+
+def test_no_buffer_outlives_the_audit():
+    a = arith("projective:pow:1.5@int:0:100")
+    a._f_array  # memoised before tracing, like the op tables below
+    tracemalloc.start()
+    try:
+        check_laws(a, ALL_LAWS, 60)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 61 ** 3 * 9  # a chunk's two int32 sides and bool mask were allocated
+    assert current <= sum(t.nbytes for t in a._op_tables.values()) + 64 * 1024
 
 
 # ----------------------------------------------------------------------
