@@ -106,6 +106,8 @@ class Carrier:
             i = round(v / self.step) if self.kind == REAL_GRID else round(v)
         except TypeError:
             raise OffCarrierError(f"{v!r} is not a number") from None
+        except (OverflowError, ValueError):  # round() of inf and of nan
+            raise OffCarrierError(f"{v} outside carrier [0, {self.max}]") from None
         if not 0 <= i < self.size:
             raise OffCarrierError(f"{v} outside carrier [0, {self.max}]")
         grid_value = self.value_at(i)

@@ -9,7 +9,10 @@ Exit codes are a contract: 0 success, 1 usage (also an argument out of
 range, such as a law scan refused for its size, see the laws module),
 2 the functional parameter or carrier was rejected (also a carrier of more
 than carrier.MAX_SIZE points), 3 an evaluation failed (off-carrier value,
-carrier exhausted, multiplication unavailable, bad expression).
+carrier exhausted, multiplication unavailable, bad expression).  One table,
+_ERRORS, maps each error class to its code and label.  The REPL evaluates
+and audits through the printers of ``nda eval`` and ``nda laws`` and prints
+the CLI's error line for a failed line, then reads the next one.
 """
 
 from __future__ import annotations
@@ -34,27 +37,35 @@ _LAW_ALIASES = {"dist": "distributivity", "theorem": "theorem-archimedean-mll", 
 _LAW_COLUMNS = ("law", "status", "witness", "range", "pairs_checked", "violations")
 
 
-class _UsageError(Exception):
-    pass
+# The exit-code contract: an error takes the code and label of the first row
+# whose class it is an instance of.  A closed stdout exits 0 (see main).
+_ERRORS = (
+    (SpecError, 1, "usage error"),
+    (ValidationError, 2, "validation error"),
+    (NdaError, 3, "evaluation error"),
+    (ValueError, 1, "usage error"),
+)
+_CAUGHT = tuple(cls for cls, _, _ in _ERRORS)
+
+
+def _error_line(exc: Exception) -> tuple[int, str]:
+    code, label = next((code, label) for cls, code, label in _ERRORS if isinstance(exc, cls))
+    return code, f"{label}: {exc}"
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
-        raise _UsageError(message)
+        raise SpecError(message)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if not getattr(args, "handler", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if not getattr(args, "handler", None):
+            parser.print_usage(sys.stderr)
+            return 1
         status = args.handler(args)
         sys.stdout.flush()  # a closed stdout must fail here, not in the flush at exit
         return status
@@ -64,18 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except SpecError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except NdaError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except _CAUGHT as exc:
+        code, line = _error_line(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,16 +157,10 @@ def _fmt_cell(v) -> str:
     return _fmt_value(v)
 
 
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
-
-
 def _emit_records(records: list[dict], columns: tuple[str, ...], fmt: str) -> None:
     if fmt == "json":
         for record in records:
-            print(json.dumps({k: _jsonable(v) for k, v in record.items()}, sort_keys=False))
+            print(json.dumps(record))
         return
     if fmt == "csv":
         buffer = io.StringIO()
@@ -179,21 +176,31 @@ def _emit_records(records: list[dict], columns: tuple[str, ...], fmt: str) -> No
         print("  ".join(_fmt_cell(record.get(col)).ljust(w) for col, w in zip(columns, widths)).rstrip())
 
 
+def _emit_record(record: dict, fmt: str, *lines: str) -> None:
+    """One record in json or csv; the human lines instead in table format."""
+    if fmt == "table":
+        print("\n".join(lines))
+    else:
+        _emit_records([record], tuple(record), fmt)
+
+
+def _emit_result(arith: Arithmetic, text: str, fmt: str) -> None:
+    """Evaluate an expression and print its result, for nda eval and the REPL."""
+    result = exprlang.evaluate(exprlang.parse_text(text), arith)
+    if fmt == "json":
+        print(json.dumps({"result": result}))
+        return
+    if fmt == "csv":
+        print("result")
+    print(_fmt_value(result))
+
+
 # ----------------------------------------------------------------------
 # eval / validate
 # ----------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    arith = Arithmetic.from_spec(args.arith)
-    result = exprlang.evaluate(exprlang.parse_text(args.expression), arith)
-    fmt = _format_of(args)
-    if fmt == "json":
-        print(json.dumps({"result": result}))
-    elif fmt == "csv":
-        print("result")
-        print(_fmt_value(result))
-    else:
-        print(_fmt_value(result))
+    _emit_result(Arithmetic.from_spec(args.arith), args.expression, _format_of(args))
     return 0
 
 
@@ -220,11 +227,7 @@ def _cmd_validate(args) -> int:
         "failure_index": report.failure_index,
         "reason": report.reason,
     }
-    fmt = _format_of(args)
-    if fmt == "table":
-        print(f"{f.name} on {carrier.spec}: {report.message()}")
-    else:
-        _emit_records([record], tuple(record.keys()), fmt)
+    _emit_record(record, _format_of(args), f"{f.name} on {carrier.spec}: {report.message()}")
     return 0 if report.ok else 2
 
 
@@ -295,8 +298,8 @@ def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[
 
 
 def _cmd_laws(args) -> int:
-    records = _law_records(Arithmetic.from_spec(args.arith), args.check, args.upper)
-    _emit_records(records, _LAW_COLUMNS, _format_of(args))
+    _emit_records(_law_records(Arithmetic.from_spec(args.arith), args.check, args.upper), _LAW_COLUMNS,
+                  _format_of(args))
     return 0
 
 
@@ -305,8 +308,7 @@ def _cmd_laws(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_series_usage(args) -> int:
-    print("usage error: choose 'series practical' or 'series sum'", file=sys.stderr)
-    return 1
+    raise SpecError("choose 'series practical' or 'series sum'")
 
 
 def _cmd_series_practical(args) -> int:
@@ -318,12 +320,8 @@ def _cmd_series_practical(args) -> int:
         "window": ev.window, "tol": ev.tol,
         "min_step": ev.min_step, "max_step": ev.max_step, "mean_step": ev.mean_step,
     }
-    fmt = _format_of(args)
-    if fmt == "table":
-        print(f"{seq.name}: {verdict.verdict} at budget K={verdict.budget}")
-        print(f"  trailing window {ev.window}, log-step in [{ev.min_step:.6g}, {ev.max_step:.6g}]")
-    else:
-        _emit_records([record], tuple(record.keys()), fmt)
+    _emit_record(record, _format_of(args), f"{seq.name}: {verdict.verdict} at budget K={verdict.budget}",
+                 f"  trailing window {ev.window}, log-step in [{ev.min_step:.6g}, {ev.max_step:.6g}]")
     return 0
 
 
@@ -335,19 +333,11 @@ def _cmd_series_sum(args) -> int:
         "arithmetic": arith.spec, "sequence": seq.name, "terms": args.terms,
         "final_sum": sums[-1], "stationary_at": stationary_at,
     }
-    fmt = _format_of(args)
-    if fmt == "table":
-        shown = ", ".join(_fmt_value(s) for s in sums[:10])
-        if len(sums) > 10:
-            shown += ", ..."
-        print(f"partial sums of {seq.name} in {arith.spec}:")
-        print(f"  sums: {shown}")
-        if stationary_at is None:
-            print(f"  still moving after {args.terms} terms; final sum {_fmt_value(sums[-1])}")
-        else:
-            print(f"  stationary at k={stationary_at}, sum {_fmt_value(sums[-1])}")
-    else:
-        _emit_records([record], tuple(record.keys()), fmt)
+    shown = ", ".join(_fmt_value(s) for s in sums[:10]) + (", ..." if len(sums) > 10 else "")
+    final = _fmt_value(sums[-1])
+    _emit_record(record, _format_of(args), f"partial sums of {seq.name} in {arith.spec}:", f"  sums: {shown}",
+                 f"  still moving after {args.terms} terms; final sum {final}" if stationary_at is None
+                 else f"  stationary at k={stationary_at}, sum {final}")
     return 0
 
 
@@ -474,51 +464,32 @@ def _cmd_repl(args) -> int:
         print("nda repl; :help for directives")
     while True:
         try:
-            line = input("nda> " if interactive else "")
+            line = input("nda> " if interactive else "").strip()
         except EOFError:
-            break
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(":"):
-            fields = line.split()
-            directive = fields[0]
-            try:
-                if directive in (":quit", ":q"):
-                    break
-                elif directive == ":help":
-                    print(_REPL_HELP)
-                elif directive == ":arith" and len(fields) == 2:
-                    current = Arithmetic.from_spec(fields[1])
-                    print(f"arithmetic set to {current.spec}")
-                elif directive == ":format" and len(fields) == 2 and fields[1] in FORMATS:
-                    fmt = fields[1]
-                elif directive == ":laws" and len(fields) in (2, 3):
-                    if current is None:
-                        print("error: no arithmetic selected; use :arith <spec>")
-                        continue
-                    upper = int(fields[2]) if len(fields) == 3 else None
-                    _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt)
-                else:
-                    print(f"error: bad directive {line!r}; :help lists them")
-            except NdaError as exc:
-                print(f"error: {exc}")
-            except ValueError as exc:
-                print(f"error: {exc}")
-            continue
-        if current is None:
-            print("error: no arithmetic selected; use :arith <spec>")
-            continue
+            return 0
+        fields = line.split()
+        directive = fields[0] if line.startswith(":") else ""
         try:
-            result = exprlang.evaluate(exprlang.parse_text(line), current)
-        except NdaError as exc:
-            print(f"error: {exc}")
-            continue
-        if fmt == "json":
-            print(json.dumps({"result": result}))
-        else:
-            print(_fmt_value(result))
-    return 0
+            if directive in (":quit", ":q"):
+                return 0
+            elif directive == ":help":
+                print(_REPL_HELP)
+            elif directive == ":arith" and len(fields) == 2:
+                current = Arithmetic.from_spec(fields[1])
+                print(f"arithmetic set to {current.spec}")
+            elif directive == ":format" and len(fields) == 2 and fields[1] in FORMATS:
+                fmt = fields[1]
+            elif directive and not (directive == ":laws" and len(fields) in (2, 3)):
+                raise SpecError(f"bad directive {line!r}; :help lists them")
+            elif line and current is None:
+                raise SpecError("no arithmetic selected; use :arith <spec>")
+            elif directive:
+                upper = int(fields[2]) if len(fields) == 3 else None
+                _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt)
+            elif line:
+                _emit_result(current, line, fmt)
+        except _CAUGHT as exc:
+            print(_error_line(exc)[1])
 
 
 if __name__ == "__main__":

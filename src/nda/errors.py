@@ -13,7 +13,7 @@ class NdaError(Exception):
 
 
 class SpecError(NdaError):
-    """A mini-syntax spec string (arithmetic, carrier, f, sequence) is malformed."""
+    """A command line or a mini-syntax spec string (arithmetic, carrier, f, sequence) is malformed."""
 
 
 class ValidationError(NdaError):
@@ -55,7 +55,6 @@ class LexError(NdaError):
 class ParseError(NdaError):
     """Malformed expression."""
 
-    def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-        self.expected = expected

@@ -12,7 +12,8 @@ Left associativity is semantic: the arithmetics are generally not
 associative, so 1+2+3 means (1+2)+3 and nothing else.  Relations appear
 only at the root; '<<' and '<<<' are the absorption relations, '<' is
 plain carrier order.  Literals must already lie on the target carrier;
-nothing is silently snapped.
+nothing is silently snapped.  Parsing and evaluation recurse, so a tree or
+a nesting of parentheses more than MAX_DEPTH deep is a ParseError.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _SINGLE = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN}
 _DOUBLE = {"==": EQEQ, "!=": NEQ}
 _RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
 _BINARY_KINDS = {PLUS: "add", MINUS: "sub", STAR: "mul"}
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # open parentheses
 
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -135,11 +138,11 @@ class _Parser:
             return last.position + len(last.lexeme.encode("utf-8"))
         return 0
 
-    def _error(self, message: str, expected: frozenset[str]) -> ParseError:
+    def _error(self, message: str) -> ParseError:
         tok = self._peek()
         offset = tok.position if tok else self._end_offset()
         where = f"before {tok.lexeme!r}" if tok else "at end of input"
-        return ParseError(f"{message} {where}", offset, expected)
+        return ParseError(f"{message} {where}", offset)
 
     def relation(self) -> Node:
         left = self.expr()
@@ -151,7 +154,7 @@ class _Parser:
         else:
             node = left
         if self._peek() is not None:
-            raise self._error("expected end of input", frozenset({"end"}))
+            raise self._error("expected end of input")
         return node
 
     def expr(self) -> Node:
@@ -175,25 +178,40 @@ class _Parser:
     def factor(self) -> Node:
         tok = self._peek()
         if tok is None:
-            raise self._error("expected a number or '('", frozenset({NUMBER, LPAREN}))
+            raise self._error("expected a number or '('")
         if tok.kind == NUMBER:
             self.pos += 1
             value = float(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme)
             return Literal(value)
         if tok.kind == LPAREN:
+            if self.nesting == MAX_DEPTH:
+                raise self._error(f"parentheses nested more than {MAX_DEPTH} deep")
             self.pos += 1
+            self.nesting += 1
             node = self.expr()  # relations are not allowed inside parentheses
+            self.nesting -= 1
             closing = self._peek()
             if closing is None or closing.kind != RPAREN:
-                raise self._error("expected ')'", frozenset({RPAREN}))
+                raise self._error("expected ')'")
             self.pos += 1
             return node
-        raise self._error("expected a number or '('", frozenset({NUMBER, LPAREN}))
+        raise self._error("expected a number or '('")
 
 
 def parse(tokens: list[Token]) -> Node:
-    """Tokens -> Ast; raises ParseError with offset and expected-token set."""
-    return _Parser(tokens).relation()
+    """Tokens -> Ast; raises ParseError with the byte offset of the offending token."""
+    node = _Parser(tokens).relation()
+    if len(tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than tokens
+        raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
+    return node
+
+
+def _depth(node: Node) -> int:
+    """Operators on the longest root-to-leaf path, level by level (no recursion)."""
+    depth, level = 0, [node]
+    while level := [child for n in level if not isinstance(n, Literal) for child in (n.left, n.right)]:
+        depth += 1
+    return depth
 
 
 def parse_text(text: str) -> Node:

@@ -164,7 +164,7 @@ def load_table(path: str) -> FunctionalParameter:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableError(f"cannot read table file {path!r}: {exc}") from None
     points: list[tuple[int | float, int | float]] = []
     for lineno, line in enumerate(raw, start=1):

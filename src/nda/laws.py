@@ -107,8 +107,8 @@ def _side(apply, arith: Arithmetic, side, axes, buffer=None):
     return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
 
 
-def _tables(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, np.ndarray]:
-    """The op table of each op in the sides that fits MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
+def _extents(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, int | None]:
+    """Each op's table extent in the sides, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
     extents: dict[str, int] = {}
 
     def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
@@ -122,7 +122,12 @@ def _tables(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, np.nd
         cells = max((extent + 1) ** 2 for extent in extents.values())
         raise ValueError(f"op table of {cells} cells for R = {upper} exceeds the limit {MAX_TABLE_CELLS} "
                          f"and the scan of {(upper + 1) ** arity} cells the limit {MAX_SCAN_CELLS}; lower R")
-    return {op: arith.op_table(op, extent) for op, extent in extents.items() if fits[op]}
+    return {op: extent if fits[op] else None for op, extent in extents.items()}
+
+
+def _tables(arith: Arithmetic, extents: dict[str, int | None]) -> dict[str, np.ndarray]:
+    """The memoised op table of each op with an extent."""
+    return {op: arith.op_table(op, extent) for op, extent in extents.items() if extent is not None}
 
 
 def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray,
@@ -185,14 +190,14 @@ def _least_violation(mask: np.ndarray, lo: int = 0) -> tuple[int, ...] | None:
 
 
 def _plan(arith: Arithmetic, law: str, upper: int):
-    """(arity, equations, op tables) of a law, None where it is not applicable; refuses an oversize scan."""
+    """(arity, equations, op extents) of a law, None where it is not applicable; refuses an oversize scan."""
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
     arity, needs_mul, equations = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equations, _tables(arith, [side for equation in equations for side in equation], upper, arity)
+    return arity, equations, _extents(arith, [side for equation in equations for side in equation], upper, arity)
 
 
 def _chunk_rows(arity: int, n: int) -> int:
@@ -214,8 +219,8 @@ def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = N
     plan = _plan(arith, law, upper)
     if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    arity, equations, tables = plan
-    gather, n = partial(_gather, arith, tables), upper + 1
+    arity, equations, extents = plan
+    gather, n = partial(_gather, arith, _tables(arith, extents)), upper + 1
     rows = _chunk_rows(arity, n)
     lhs_buffer, rhs_buffer, mask_buffer = buffers or _buffers(rows * n ** (arity - 1))
     count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
@@ -242,14 +247,17 @@ def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = N
 def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
     """check_law of each name in order, all scans sharing one set of buffers sized to the largest chunk.
 
-    Every law is validated, and an oversize scan refused, before the buffers
-    are allocated; nothing outlives the call but the memoised op tables.
+    Every law is validated, and an oversize scan refused, before anything is
+    allocated; each op table is then built once, at the largest extent any
+    law needs.  Nothing outlives the call but the memoised op tables.
     """
-    n, cells = upper + 1, 0
-    for law in names:
-        plan = _plan(arith, law, upper)
-        if plan is not None:
-            cells = max(cells, _chunk_rows(plan[0], n) * n ** (plan[0] - 1))
+    n, cells, extents = upper + 1, 0, {}
+    for plan in filter(None, [_plan(arith, law, upper) for law in names]):
+        cells = max(cells, _chunk_rows(plan[0], n) * n ** (plan[0] - 1))
+        for op, extent in plan[2].items():
+            if extent is not None:
+                extents[op] = max(extents.get(op, 0), extent)
+    _tables(arith, extents)
     buffers = _buffers(cells)
     return [check_law(arith, law, upper, buffers) for law in names]
 
@@ -290,7 +298,7 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
     """Check Archimedean <=> (a << b only for a = 0), both sides computed."""
     archimedean = check_archimedean(arith, upper).archimedean  # validates upper
     b, a = np.ix_(np.arange(upper + 1), np.arange(upper + 1))
-    add = _gather(arith, _tables(arith, [("add", "b", "a")], upper, 2), "add", b, a)
+    add = _gather(arith, _tables(arith, _extents(arith, [("add", "b", "a")], upper, 2)), "add", b, a)
     # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality, and b = top only
     # by saturation, which is no evidence, as in check_archimedean
     mll = (add == b) & (a > 0) & (b < arith.carrier.size - 1)

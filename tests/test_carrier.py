@@ -99,6 +99,13 @@ class TestIndexOf:
         with pytest.raises(OffCarrierError):
             Carrier.grid(1.0, 0.001).index_of(0.0005)
 
+    @pytest.mark.parametrize("v", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
+    @pytest.mark.parametrize("carrier", [Carrier.integers(10), Carrier.grid(1.0, 0.001)], ids=["int", "grid"])
+    def test_non_finite_values_are_off_carrier(self, carrier, v):
+        # round() raises OverflowError on inf (and on an int past float range on a grid), ValueError on nan
+        with pytest.raises(OffCarrierError, match="outside carrier"):
+            carrier.index_of(v)
+
 
 @given(st.integers(min_value=0, max_value=200))
 def test_round_trip_integers(i):

@@ -1,13 +1,16 @@
 """Exit-code contract of the ``nda`` command line, driven through cli.main(argv)."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nda import cli, series
 from nda.arith import Arithmetic
@@ -112,3 +115,112 @@ def test_closed_stdout_exits_quietly():
         child.kill()
         child.stderr.close()
     assert err == b""  # no Traceback, no "Exception ignored" from the flush at exit
+
+
+@pytest.mark.parametrize("term", ["1e400", "nan"])
+def test_non_finite_terms_are_evaluation_errors(term, capsys):
+    assert cli.main(["series", "sum", "projective:id@int:0:10", f"list:{term}", "-n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"evaluation error: {float(term)} outside carrier [0, 10]\n"
+
+
+def test_undecodable_table_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "t.tbl"
+    path.write_bytes(bytes(range(128, 256)))
+    assert cli.main(["validate", f"table:{path}@int:0:10"]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: cannot read table file '{path}'")
+
+
+def test_repl_prints_through_the_commands(monkeypatch, capsys):
+    spec = "projective:pow:1.5@int:0:1000"
+    outputs, errors = [], []
+    for argv in (["--format", "csv", "eval", spec, "2+2"], ["eval", spec, "1.5+1"],
+                 ["eval", "projective:nope@int:0:10", "1"], ["validate", "id@int:1:10"]):
+        cli.main(argv)
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        errors.append(captured.err)
+    lines = ":format csv\n2+2\n:format table\n1.5+1\n:arith projective:nope@int:0:10\n:arith projective:id@int:1:10\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert cli.main(["repl", spec]) == 0
+    # the csv header of nda eval, then the stderr lines of the failed commands, on stdout
+    assert capsys.readouterr().out == "".join(outputs + errors[1:])
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract over argv built from valid and invalid pieces
+# ----------------------------------------------------------------------
+
+_KINDS = ["projective", "dual", "affine"]
+_FS = ["id", "pow:1.5", "pow:2", "exp2m1", "quad", "atanh:1", "table:{good}",
+       "pow:0", "pow:nan", "cubic", "table:{binary}", "table:{falling}", "table:{missing}"]
+_CARRIERS = ["int:0:10", "int:0:100", "grid:0:1:0.01", "grid:0:1:0.1",
+             "int:1:10", "int:0:0", "grid:0:1:nan", "grid:0:inf:1", "int:0:x", "grid:0:1:0.3", "int:0:-5", "grid:0:1"]
+_NUMBERS = ["0", "1", "2", "5", "10", "0.5", "1.5", "0.1", "9" * 400, "1" * 400 + ".5"]
+_SEQUENCES = ["const:1", "const:0", "const:-1", "const:nan", "const:1e400", "list:1,2,3", "list:1e400",
+              "list:nan", "list:inf", "list:", "list:0.5,0.25", "powfact:2", "factpow:3", "powfact:0",
+              "powfact:1e308", "powfact:x", "harmonic"]
+_LAW_LISTS = ["all", "dist,arch,theorem", "assoc-add", "commutativity-mul", "nope", "neutral-one,theorem"]
+
+
+def _mostly(valid, invalid):
+    """valid three times in four, so that the pieces after it are reached"""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+_specs = _mostly(
+    st.builds("{}:{}@{}".format, st.sampled_from(_KINDS[:2]), st.sampled_from(_FS[:7]),
+              st.sampled_from(_CARRIERS[:4])).filter(lambda spec: "atanh" not in spec or "grid" in spec),
+    st.sampled_from(["nonsense", "projective:id", "@", ""])
+    | st.builds("{}:{}@{}".format, st.sampled_from(_KINDS), st.sampled_from(_FS), st.sampled_from(_CARRIERS)))
+_uppers = _mostly(st.integers(0, 10).map(str), st.integers(-3, 30).map(str) | st.sampled_from(["x", "1e3"]))
+_exprs = st.recursive(
+    st.sampled_from(_NUMBERS),
+    lambda sub: st.builds("{}{}{}".format, sub, st.sampled_from(["+", "-", "*", " + "]), sub) | sub.map("({})".format),
+    max_leaves=6)
+_texts = (st.builds("{}{}{}".format, _exprs, st.sampled_from(["==", "!=", "<", "<<", "<<<"]), _exprs) | _exprs
+          | st.sampled_from(["", "@", "1 +", "(1", "1)", "٣", "1 == 1 == 1", "+".join(["1"] * 1500),
+                             "(" * 400 + "1" + ")" * 400]))
+_bad_ints = st.sampled_from(["0", "-1", "x", "1e9"])
+_terms = _mostly(st.integers(1, 60).map(str), _bad_ints)
+_commands = st.one_of(
+    st.tuples(st.just("eval"), _specs, _texts).map(list),
+    st.tuples(st.just("laws"), _specs, st.just("--check"), st.sampled_from(_LAW_LISTS), st.just("-R"), _uppers).map(list),
+    st.builds(lambda kind, f, c: ["validate", f"{kind}{f}@{c}"],
+              st.sampled_from(["", "projective:", "dual:"]), st.sampled_from(_FS), st.sampled_from(_CARRIERS)),
+    st.tuples(st.just("series"), st.just("sum"), _specs, st.sampled_from(_SEQUENCES), st.just("-n"), _terms).map(list),
+    st.tuples(st.just("series"), st.just("practical"), st.sampled_from(_SEQUENCES),
+              st.just("-K"), _mostly(st.integers(50, 60).map(str), _bad_ints),
+              st.just("--window"), _mostly(st.integers(2, 50).map(str), _bad_ints),
+              st.just("--tol"), st.sampled_from(["1e-12", "0", "nan", "-1", "x"])).map(list),
+    st.lists(st.sampled_from(["demo", "heap", "cans", "nope", "series", "--format", "xml", "-R"]), max_size=3),
+)
+_repl_lines = st.lists(
+    _texts | st.builds("{} {}".format, st.sampled_from([":arith", ":format", ":laws"]),
+                       _specs | st.sampled_from(["table", "json", "csv", "xml"]) | st.sampled_from(_LAW_LISTS))
+    | st.builds(":laws {} {}".format, st.sampled_from(_LAW_LISTS), _uppers)
+    | st.sampled_from([":help", ":q", ":bogus", ":laws", ":", ":arith"]),
+    max_size=6)
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    (root / "good.tbl").write_text("".join(f"{x} {x * x}\n" for x in range(101)))
+    (root / "binary.tbl").write_bytes(bytes(range(128, 256)))
+    (root / "falling.tbl").write_text("0 0\n1 2\n2 1\n")
+    return {name: str(root / f"{name}.tbl") for name in ("good", "binary", "falling", "missing")}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from([[], ["--format", "table"], ["--format", "json"], ["--format", "csv"]]),
+       command=_commands | st.tuples(st.just("repl"), _specs).map(list) | st.just(["repl"]), lines=_repl_lines)
+def test_every_input_exits_with_a_contract_code(table_files, fmt, command, lines):
+    argv = fmt + [arg.format(**table_files) for arg in command]
+    stdin = io.StringIO("".join(line.format(**table_files) + "\n" for line in lines))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -53,6 +53,28 @@ def test_addition_folds_left():
     assert parse_text("1+2+3") == Binary("add", Binary("add", Literal(1), Literal(2)), Literal(3))
 
 
+@pytest.mark.parametrize("text", ["+".join(["1"] * 1500), "(" * 400 + "1" + ")" * 400,
+                                  "1 == " + "1*" * 300 + "1"], ids=["chain", "nesting", "relation-side"])
+def test_deep_trees_are_refused_before_evaluation(text, monkeypatch):
+    monkeypatch.setattr(Arithmetic, "add", lambda *args: pytest.fail("evaluated a refused tree"))
+    with pytest.raises(ParseError, match="more than 200"):
+        parse_text(text)
+    monkeypatch.delenv("NDA_FORMAT", raising=False)
+    assert cli.main(["eval", POW2, text]) == 3
+
+
+def test_depth_bound_is_inclusive():
+    chain = "+".join(["0"] * 201)  # 200 operators on the left spine
+    nested = "(" * 200 + "0" + ")" * 200
+    arith = Arithmetic.from_spec(POW2)
+    assert evaluate(parse_text(chain), arith) == 0
+    assert evaluate(parse_text(nested), arith) == 0
+    with pytest.raises(ParseError):
+        parse_text(chain + "+0")
+    with pytest.raises(ParseError):
+        parse_text("(" + nested + ")")
+
+
 def test_relation_inside_parentheses_rejected():
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse_text("(1 == 1)")

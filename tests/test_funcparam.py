@@ -164,6 +164,12 @@ class TestLoadTable(object):
         with pytest.raises(TableError):
             load_table("/no/such/file.tbl")
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "f.tbl"
+        path.write_bytes(bytes(range(128, 256)))  # no byte here starts a UTF-8 sequence
+        with pytest.raises(TableError, match="cannot read table file"):
+            load_table(str(path))
+
 
 class TestFromSpec:
     def test_all_families_parse(self):

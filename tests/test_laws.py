@@ -217,6 +217,18 @@ def test_operand_past_a_short_table_raises(law, monkeypatch):
         check_law(arith("projective:pow:1.5@int:0:1000"), law, 12)
 
 
+def test_each_op_table_is_built_once_per_audit(monkeypatch):
+    # the commutativity laws need add and mul over [0..30]^2; assoc-mul needs mul over
+    # [0..59]^2 (mul(30, 30) = 59) and distributivity add over [0..59]^2 (add(59, 59))
+    a = Arithmetic.from_spec("projective:exp2m1@int:0:100")
+    built = []
+    index_table = Arithmetic.index_table
+    monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
+        built.append((op, rows.size)), index_table(self, op, rows, cols))[1])
+    check_laws(a, ALL_LAWS, 30)
+    assert sorted(built) == [("add", 60), ("mul", 60)]  # one block of rows each
+
+
 def test_no_buffer_outlives_the_audit():
     a = arith("projective:pow:1.5@int:0:100")
     a._f_array  # memoised before tracing, like the op tables below
