@@ -16,7 +16,10 @@ strictly increasing array and every operation is a binary search over it.
 Single operations bisect the Python list; whole tables of operations
 (``index_table``) run one ``np.searchsorted`` over an array of the same
 values, held in float64 or int64 only where that is exact; ``op_table``
-memoises one such table per operation over a square of leading indices.
+memoises one such table per operation over a square of leading indices,
+built as its upper triangle in row blocks, each mirrored into the lower
+triangle: f(i) + f(j) and f(i) * f(j) commute in float64, int64 and exact
+Python numbers alike, and so do the zero mask and the search that follows.
 Extended reals participate: +inf is an absorbing target and the projective
 search maps it to the top element.
 """
@@ -134,10 +137,12 @@ class Arithmetic:
         if table is None or len(table) <= extent:
             n = extent + 1
             table = np.empty((n, n), dtype=np.int32)
-            cols = np.arange(n)[None, :]
-            rows = max(1, (1 << 16) // n)  # blocks of some 64K cells keep a build's temporaries small
-            for lo in range(0, n, rows):
-                table[lo:lo + rows] = self.index_table(op, np.arange(lo, min(lo + rows, n))[:, None], cols)
+            index, lo = np.arange(n), 0
+            while lo < n:  # upper-triangle blocks of some 64K cells keep a build's temporaries small
+                hi = min(n, lo + max(1, (1 << 16) // (n - lo)))
+                table[lo:hi, lo:] = block = self.index_table(op, index[lo:hi, None], index[None, lo:])
+                table[lo:, lo:hi] = block.T  # op commutes: its targets f(i) + f(j) and f(i) * f(j) do
+                lo = hi
             self._op_tables[op] = table
         return table[:extent + 1, :extent + 1]
 

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from . import exprlang, funcparam, laws, series
 from .arith import DUAL, PROJECTIVE, Arithmetic
@@ -286,12 +287,13 @@ def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[
         upper = min(100, arith.carrier.size - 1)
     names = _parse_law_list(check_text)
     scanned = iter(laws.check_laws(arith, [name for name in names if name in laws.ALL_LAWS], upper))
+    archimedean = cache(lambda: laws.check_archimedean(arith, upper))  # one scan serves both records
     records = []
     for name in names:
         if name == "archimedean":
-            records.append(_archimedean_record(laws.check_archimedean(arith, upper)))
+            records.append(_archimedean_record(archimedean()))
         elif name == "theorem-archimedean-mll":
-            records.append(_theorem_record(laws.verify_archimedean_theorem(arith, upper)))
+            records.append(_theorem_record(laws.verify_archimedean_theorem(arith, upper, archimedean())))
         else:
             records.append(_law_record(next(scanned)))
     return records

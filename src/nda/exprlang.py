@@ -181,7 +181,10 @@ class _Parser:
             raise self._error("expected a number or '('")
         if tok.kind == NUMBER:
             self.pos += 1
-            value = float(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme)
+            try:
+                value = float(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme)
+            except ValueError:  # an int past Python's limit on digits converted from a string
+                raise ParseError(f"literal of {len(tok.lexeme)} digits is too long", tok.position) from None
             return Literal(value)
         if tok.kind == LPAREN:
             if self.nesting == MAX_DEPTH:

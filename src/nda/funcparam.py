@@ -4,10 +4,12 @@ f must be strictly increasing over the carrier, fix 0, and (when
 multiplication is wanted) fix 1.  Families that take integer values on
 integer carriers (identity, integral powers, exp2m1, quad) are evaluated
 in exact integer arithmetic so order comparisons never suffer float
-truncation; artanh goes through mpmath so each memoised value is the
-correctly rounded double, which keeps additive identities like
-artanh(u) + artanh(v) = artanh((u+v)/(1+uv)) exact whenever the target is
-representable.
+truncation.  artanh is evaluated by mpmath's low-level libmp kernel at 136
+bits (40 decimal digits) and rounded to the nearest double, so each
+memoised value is the correctly rounded double, which keeps additive
+identities like artanh(u) + artanh(v) = artanh((u+v)/(1+uv)) exact
+whenever the target is representable.  libmp is imported on the first
+artanh evaluation, so ``import nda`` does not load mpmath.
 
 Validation happens once, at binding time; evaluation afterwards is total.
 """
@@ -17,9 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-
-import mpmath
+from functools import cache, cached_property
 
 from .carrier import Carrier
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
@@ -33,6 +33,9 @@ TABLE = "table"
 
 # relative tolerance for the f(1) = 1 multiplicative check
 ONE_TOLERANCE = 1e-12
+
+# bits of artanh's working precision: what mpmath.workdps(40) sets
+ATANH_PREC = 136
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,23 @@ def _atanh_scaled(v: float, c: float) -> float:
         return math.inf
     if v == 0:
         return 0.0
-    with mpmath.workdps(40):
-        return float(mpmath.atanh(mpmath.mpf(v) / mpmath.mpf(c)))
+    # mpmath.atanh(mpf(v) / mpf(c)) under workdps(40), then float(), without the mpf objects
+    libmp = _libmp()
+    x = libmp.mpf_div(_to_mpf(libmp, v), _to_mpf(libmp, c), ATANH_PREC, "n")
+    return libmp.to_float(libmp.mpf_atanh(x, ATANH_PREC, "n"), rnd="n")  # to_float rounds down by default
+
+
+@cache
+def _libmp():
+    from mpmath import libmp
+    return libmp
+
+
+def _to_mpf(libmp, v: int | float) -> tuple:
+    """v as mpmath.mpf(v) holds it: a float exactly, an int rounded to ATANH_PREC bits."""
+    if isinstance(v, int):
+        return libmp.from_int(v, ATANH_PREC, "n")
+    return libmp.from_float(v)
 
 
 @dataclass(frozen=True)

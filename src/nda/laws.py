@@ -294,9 +294,16 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
     return ArchimedeanReport(True, upper, candidates_checked=upper)
 
 
-def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
-    """Check Archimedean <=> (a << b only for a = 0), both sides computed."""
-    archimedean = check_archimedean(arith, upper).archimedean  # validates upper
+def verify_archimedean_theorem(arith: Arithmetic, upper: int,
+                               archimedean: ArchimedeanReport | None = None) -> TheoremReport:
+    """Check Archimedean <=> (a << b only for a = 0), both sides computed.
+
+    archimedean is check_archimedean(arith, upper) where the caller has it
+    already; it is computed here otherwise.
+    """
+    _check_upper(arith, upper)
+    if archimedean is None:
+        archimedean = check_archimedean(arith, upper)
     b, a = np.ix_(np.arange(upper + 1), np.arange(upper + 1))
     add = _gather(arith, _tables(arith, _extents(arith, [("add", "b", "a")], upper, 2)), "add", b, a)
     # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality, and b = top only
@@ -305,5 +312,5 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> TheoremReport:
     cell = _least_violation(mll)
     mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
     only_zero = cell is None
-    status = CONSISTENT if archimedean == only_zero else INCONSISTENT
-    return TheoremReport(status, archimedean, only_zero, upper, mll_witness)
+    status = CONSISTENT if archimedean.archimedean == only_zero else INCONSISTENT
+    return TheoremReport(status, archimedean.archimedean, only_zero, upper, mll_witness)

@@ -29,7 +29,7 @@ PRACTICALLY_CONVERGENT = "practically-convergent"
 PRACTICALLY_DIVERGENT = "practically-divergent"
 INCONCLUSIVE = "inconclusive"
 
-MAX_TERMS = 1 << 22  # terms one fold may take; every partial sum is kept
+MAX_TERMS = 1 << 22  # terms one fold or one practical window may take; every one is kept
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,12 @@ def practical_convergence(seq: SequenceSpec, budget: int, window: int = 50,
     practically divergent, strictly falling as practically convergent,
     anything else as inconclusive.  The verdict is a pure function of
     (seq, budget, window, tol) and is expected to flip as budget grows.
+    A window of more than MAX_TERMS terms is refused before any is computed.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
+    if window > MAX_TERMS:  # every term and step of the window is held at once
+        raise ValueError(f"window must be at most {MAX_TERMS:,}, got {window}")
     if budget < window:
         raise ValueError(f"budget {budget} smaller than window {window}")
     logs = [seq.log_term(k) for k in range(budget - window + 1, budget + 1)]

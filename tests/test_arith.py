@@ -267,6 +267,28 @@ class TestIndexTable:
         assert np.array_equal(a.op_table("add", 300), full[:301, :301])
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
+    @pytest.mark.parametrize("f_spec, carrier_spec, dtype", [
+        ("pow:1.5", "int:0:1000", np.float64),
+        ("pow:2", "int:0:1000", np.int64),
+        ("exp2m1", "int:0:1000", object),
+        ("table:{mixed}", "int:0:399", object),
+    ])
+    def test_op_table_triangle_fills_the_square(self, tmp_path, kind, f_spec, carrier_spec, dtype):
+        """The upper triangle, built in row blocks and mirrored, is index_table on every cell.
+
+        Extent 500 takes blocks of rows 0-129, 130-305 and 306-500, and 399 blocks of
+        0-162 and 163-399, so no block edge falls on a multiple of another's height.
+        """
+        mixed = tmp_path / "mixed.txt"  # int f at even points, float at odd ones past 1
+        mixed.write_text("".join(f"{i} {i * i if i < 2 or i % 2 == 0 else i * i + 0.25}\n" for i in range(400)))
+        a = arith(f"{kind}:{f_spec.format(mixed=mixed)}@{carrier_spec}")
+        assert a._f_array.dtype == dtype
+        extent = min(500, a.carrier.size - 1)
+        full = np.arange(extent + 1)
+        for op in ("add", "mul"):
+            assert np.array_equal(a.op_table(op, extent), a.index_table(op, full[:, None], full[None, :]))
+
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
     def test_mixed_int_float_table(self, tmp_path, kind):
         path = tmp_path / "mixed.txt"
         path.write_text("0 0\n1 1\n2 2.5\n3 4\n4 7.25\n5 11\n6 16.5\n")

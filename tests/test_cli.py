@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nda import cli, series
+from nda import cli, laws, series
 from nda.arith import Arithmetic
 
 
@@ -50,6 +50,43 @@ def test_overlong_fold_refused_before_any_term(monkeypatch, capsys):
     assert captured.err.startswith("usage error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_overlong_practical_window_refused_before_any_term(monkeypatch, capsys):
+    def no_term(*args):
+        raise AssertionError("a log term was computed for a refused window")
+
+    monkeypatch.setattr(series.SequenceSpec, "log_term", no_term)
+    window = str(series.MAX_TERMS + 1)
+    assert cli.main(["series", "practical", "powfact:2", "-K", window, "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_overlong_literal_is_a_parse_error(capsys):
+    # 5,000 digits pass Python's limit on int() of a string
+    assert cli.main(["eval", "projective:id@int:0:10", "1 + " + "1" * 5000]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("evaluation error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["projective:pow:1.5@int:0:1000", "dual:pow:2@int:0:1000"])
+def test_archimedean_scan_runs_once_per_audit(spec, monkeypatch, capsys):
+    upper = 30
+    a = Arithmetic.from_spec(spec)
+    expected = [cli._archimedean_record(laws.check_archimedean(a, upper)),
+                cli._theorem_record(laws.verify_archimedean_theorem(a, upper))]
+    calls = []
+    scan = laws.check_archimedean
+    monkeypatch.setattr(laws, "check_archimedean", lambda *args: calls.append(args) or scan(*args))
+    assert cli.main(["--format", "json", "laws", spec, "--check", "all", "-R", str(upper)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(calls) == 1
+    assert records[-2:] == json.loads(json.dumps(expected))
 
 
 @pytest.mark.parametrize("spec", ["id@grid:0:1:nan", "id@grid:0:inf:1", "id@grid:0:1:1e-300"],

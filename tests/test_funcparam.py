@@ -1,12 +1,20 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
+import nda
 from nda.carrier import Carrier
 from nda.errors import SpecError, TableError, ValidationError
 from nda.funcparam import (
     TABLE,
     FunctionalParameter,
+    bind,
     from_spec,
     load_table,
     validate,
@@ -44,6 +52,46 @@ class TestEvaluate:
     def test_integer_families_stay_exact_beyond_float53(self):
         # 2^60 - 1 is not representable as a double; the int path must keep it
         assert from_spec("exp2m1").evaluate(60) == 2 ** 60 - 1
+
+
+def mpmath_atanh(v, c) -> float:
+    """artanh(v/c) through mpmath's public interface, at the precision f uses."""
+    if v >= c:
+        return math.inf
+    with mpmath.workdps(40):
+        return float(mpmath.atanh(mpmath.mpf(v) / mpmath.mpf(c)))
+
+
+class TestAtanhKernel:
+    """artanh through libmp is bit-identical to mpmath.atanh at 40 digits, rounded to nearest."""
+
+    @pytest.mark.parametrize("f_spec, carrier_spec", [
+        ("atanh:1", "grid:0:1:0.001"),  # float points, up to f(top) = inf
+        ("atanh:100", "int:0:99"),  # int points
+    ])
+    def test_bound_values_match_mpmath(self, f_spec, carrier_spec):
+        carrier = Carrier.from_spec(carrier_spec)
+        f = from_spec(f_spec)
+        report, values = bind(f, carrier)
+        assert report.ok
+        assert values == [mpmath_atanh(carrier.value_at(i), f.param) for i in range(carrier.size)]
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 1.0000001])
+    def test_scattered_points_match_mpmath(self, c):
+        rng = random.Random(0)
+        points = [rng.uniform(0, c) for _ in range(300)] + [c * (1 - 2 ** -52), c * (1 - 1e-9), 1e-300]
+        f = from_spec(f"atanh:{c}")
+        assert [f.evaluate(v) for v in points] == [mpmath_atanh(v, c) for v in points]
+
+    def test_mpmath_loads_on_first_atanh_only(self):
+        src = str(Path(nda.__file__).resolve().parents[1])
+        code = ("import sys, nda\n"
+                "print('mpmath' in sys.modules)\n"
+                "nda.Arithmetic.from_spec('projective:atanh:1@grid:0:1:0.01')\n"
+                "print('mpmath' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestValidate:
