@@ -85,7 +85,7 @@ class Arithmetic:
         return f"Arithmetic({self.spec!r})"
 
     # ------------------------------------------------------------------
-    # index-level core (used by the law scanners; values derive from these)
+    # index-level core (used by law scans, expressions and folds; values derive from these)
     # ------------------------------------------------------------------
 
     def _locate(self, target) -> int:
@@ -151,6 +151,7 @@ class Arithmetic:
         return self._locate(fv[i] + fv[j])
 
     def sub_index(self, i: int, j: int) -> int:
+        """a (-) b, clamped at 0; an extension, not part of either family's core."""
         fa, fb = self._fvals[i], self._fvals[j]
         if isinstance(fb, float) and isinf(fb):
             # f(b) = +inf only at the top; inf - inf and finite - inf clamp to 0
@@ -173,7 +174,7 @@ class Arithmetic:
         return self._locate(target)
 
     # ------------------------------------------------------------------
-    # value-level operations
+    # value-level operations (expressions evaluate on indices, see exprlang)
     # ------------------------------------------------------------------
 
     def add(self, a, b):
@@ -181,46 +182,7 @@ class Arithmetic:
         c = self.carrier
         return c.value_at(self.add_index(c.index_of(a), c.index_of(b)))
 
-    def sub(self, a, b):
-        """a (-) b, clamped at 0; an extension, not part of either family's core."""
-        c = self.carrier
-        return c.value_at(self.sub_index(c.index_of(a), c.index_of(b)))
-
     def mul(self, a, b):
         """a (x) b; requires f(1) = 1."""
         c = self.carrier
         return c.value_at(self.mul_index(c.index_of(a), c.index_of(b)))
-
-    def nsum(self, m, k: int):
-        """m (+) m (+) ... (+) m, k terms, folded left to right.
-
-        Fold order matters because addition need not be associative.  A
-        repeated partial sum is a fixed point and short-circuits the fold.
-        """
-        if k < 1:
-            raise ValueError(f"nsum needs at least one term, got k={k}")
-        c = self.carrier
-        mi = c.index_of(m)
-        acc = mi
-        for _ in range(k - 1):
-            nxt = self.add_index(acc, mi)
-            if nxt == acc:
-                break
-            acc = nxt
-        return c.value_at(acc)
-
-    # ------------------------------------------------------------------
-    # order-like relations
-    # ------------------------------------------------------------------
-
-    def mll(self, a, b) -> bool:
-        """a << b in the projective sense: adding a leaves b unchanged."""
-        c = self.carrier
-        ib = c.index_of(b)
-        return self.add_index(ib, c.index_of(a)) == ib
-
-    def mlll(self, a, b) -> bool:
-        """a <<< b: multiplying by a leaves b unchanged."""
-        c = self.carrier
-        ib = c.index_of(b)
-        return self.mul_index(ib, c.index_of(a)) == ib

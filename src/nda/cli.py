@@ -363,8 +363,9 @@ def _demo_heap() -> list[str]:
 
 def _demo_payphone() -> list[str]:
     arith = Arithmetic.from_spec("projective:exp2m1@int:0:100")
-    total = arith.nsum(1, 1000)
-    reached = any(arith.nsum(1, k) >= 5 for k in range(1, 50))
+    sums, _ = series.arith_partial_sums(arith, series.from_spec("const:1"), 1000)
+    total = sums[-1]
+    reached = any(s >= 5 for s in sums[:49])
     return [
         "payphone: a pile of pennies and a phone that wants a nickel",
         f"  arithmetic {arith.spec}",

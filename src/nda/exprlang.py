@@ -74,18 +74,19 @@ Node = Literal | Binary | Relation
 
 
 def tokenize(text: str) -> list[Token]:
-    """Longest-match lexing; '<<<' before '<<' before '<'."""
+    """Longest-match lexing; '<<<' before '<<' before '<'.
+
+    Only ASCII is consumed and the first other character raises, so a
+    character index into text is also its byte offset.
+    """
     tokens: list[Token] = []
     i = 0
-    offset = 0  # byte offset of text[i]
     n = len(text)
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-            offset += len(ch.encode("utf-8"))
-            continue
-        if ch in _DIGITS:
+        elif ch in _DIGITS:
             j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
@@ -93,33 +94,22 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
                 while j < n and text[j] in _DIGITS:
                     j += 1
-            lexeme = text[i:j]
-            tokens.append(Token(NUMBER, lexeme, offset))
-            offset += len(lexeme)
+            tokens.append(Token(NUMBER, text[i:j], i))
             i = j
-            continue
-        if ch == "<":
+        elif ch == "<":
             j = i
             while j < n and j - i < 3 and text[j] == "<":
                 j += 1
-            lexeme = text[i:j]
-            kind = {1: LT, 2: MLL, 3: MLLL}[len(lexeme)]
-            tokens.append(Token(kind, lexeme, offset))
-            offset += len(lexeme)
+            tokens.append(Token({1: LT, 2: MLL, 3: MLLL}[j - i], text[i:j], i))
             i = j
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, offset))
+        elif ch in _SINGLE:
+            tokens.append(Token(_SINGLE[ch], ch, i))
             i += 1
-            offset += 1
-            continue
-        if text[i:i + 2] in _DOUBLE:
-            lexeme = text[i:i + 2]
-            tokens.append(Token(_DOUBLE[lexeme], lexeme, offset))
+        elif (lexeme := text[i:i + 2]) in _DOUBLE:
+            tokens.append(Token(_DOUBLE[lexeme], lexeme, i))
             i += 2
-            offset += 2
-            continue
-        raise LexError(f"unknown character {ch!r}", offset)
+        else:
+            raise LexError(f"unknown character {ch!r}", i)
     return tokens
 
 
@@ -132,17 +122,12 @@ class _Parser:
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _end_offset(self) -> int:
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.position + len(last.lexeme.encode("utf-8"))
-        return 0
-
     def _error(self, message: str) -> ParseError:
         tok = self._peek()
-        offset = tok.position if tok else self._end_offset()
-        where = f"before {tok.lexeme!r}" if tok else "at end of input"
-        return ParseError(f"{message} {where}", offset)
+        if tok is not None:
+            return ParseError(f"{message} before {tok.lexeme!r}", tok.position)
+        end = self.tokens[-1].position + len(self.tokens[-1].lexeme) if self.tokens else 0
+        return ParseError(f"{message} at end of input", end)
 
     def relation(self) -> Node:
         left = self.expr()
@@ -222,36 +207,38 @@ def parse_text(text: str) -> Node:
 
 
 def evaluate(node: Node, arith: Arithmetic):
-    """Evaluate under an arithmetic: a carrier value, or a bool for a root relation."""
-    if isinstance(node, Relation):
-        left = _eval_expr(node.left, arith)
-        right = _eval_expr(node.right, arith)
-        if node.rel == "eq":
-            return arith.carrier.index_of(left) == arith.carrier.index_of(right)
-        if node.rel == "neq":
-            return arith.carrier.index_of(left) != arith.carrier.index_of(right)
-        if node.rel == "lt":
-            return arith.carrier.index_of(left) < arith.carrier.index_of(right)
-        if node.rel == "mll":
-            return arith.mll(left, right)
-        return arith.mlll(left, right)
-    return _eval_expr(node, arith)
+    """Evaluate under an arithmetic: a carrier value, or a bool for a root relation.
+
+    Evaluation runs on carrier indices: each literal is located once, operators
+    fold through add_index, sub_index and mul_index, relations compare indices,
+    and only the root index becomes a value again.
+    """
+    if not isinstance(node, Relation):
+        return arith.carrier.value_at(_index(node, arith))
+    a, b = _index(node.left, arith), _index(node.right, arith)
+    if node.rel == "eq":
+        return a == b
+    if node.rel == "neq":
+        return a != b
+    if node.rel == "lt":
+        return a < b
+    if node.rel == "mll":  # adding a leaves b unchanged
+        return arith.add_index(b, a) == b
+    return arith.mul_index(b, a) == b  # mlll: multiplying by a leaves b unchanged
 
 
-def _eval_expr(node: Node, arith: Arithmetic):
+def _index(node: Node, arith: Arithmetic) -> int:
     if isinstance(node, Literal):
-        # canonicalise through the carrier; off-grid literals are rejected here
-        try:
-            return arith.carrier.value_at(arith.carrier.index_of(node.value))
+        try:  # off-grid literals are rejected here; nothing is snapped
+            return arith.carrier.index_of(node.value)
         except OffCarrierError:
             raise OffCarrierError(
                 f"literal {node.value} is not on carrier {arith.carrier.spec}") from None
     if isinstance(node, Binary):
-        left = _eval_expr(node.left, arith)
-        right = _eval_expr(node.right, arith)
+        left, right = _index(node.left, arith), _index(node.right, arith)
         if node.op == "add":
-            return arith.add(left, right)
+            return arith.add_index(left, right)
         if node.op == "sub":
-            return arith.sub(left, right)
-        return arith.mul(left, right)
+            return arith.sub_index(left, right)
+        return arith.mul_index(left, right)
     raise ParseError("relations may only appear at the root", 0)

@@ -6,10 +6,10 @@ integer carriers (identity, integral powers, exp2m1, quad) are evaluated
 in exact integer arithmetic so order comparisons never suffer float
 truncation.  artanh is evaluated by mpmath's low-level libmp kernel at 136
 bits (40 decimal digits) and rounded to the nearest double, so each
-memoised value is the correctly rounded double, which keeps additive
-identities like artanh(u) + artanh(v) = artanh((u+v)/(1+uv)) exact
-whenever the target is representable.  libmp is imported on the first
-artanh evaluation, so ``import nda`` does not load mpmath.
+memoised value is the correctly rounded double.  Grid points are rounded
+too, so velocity addition (u+v)/(1+uv) can land one point low where its
+exact sum is a grid point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
+libmp is loaded on the first artanh evaluation, not by ``import nda``.
 
 Validation happens once, at binding time; evaluation afterwards is total.
 """
@@ -94,7 +94,7 @@ def _atanh_scaled(v: float, c: float) -> float:
         return 0.0
     # mpmath.atanh(mpf(v) / mpf(c)) under workdps(40), then float(), without the mpf objects
     libmp = _libmp()
-    x = libmp.mpf_div(_to_mpf(libmp, v), _to_mpf(libmp, c), ATANH_PREC, "n")
+    x = libmp.mpf_div(_to_mpf(libmp, v), _scale_mpf(c), ATANH_PREC, "n")
     return libmp.to_float(libmp.mpf_atanh(x, ATANH_PREC, "n"), rnd="n")  # to_float rounds down by default
 
 
@@ -102,6 +102,12 @@ def _atanh_scaled(v: float, c: float) -> float:
 def _libmp():
     from mpmath import libmp
     return libmp
+
+
+@cache
+def _scale_mpf(c: int | float) -> tuple:
+    """The scale c converted once, not at every point."""
+    return _to_mpf(_libmp(), c)
 
 
 def _to_mpf(libmp, v: int | float) -> tuple:
@@ -193,7 +199,7 @@ def load_table(path: str) -> FunctionalParameter:
         if len(fields) != 2:
             raise TableError(f"expected two numbers, got {text!r}", lineno)
         try:
-            x, y = (_parse_number(field) for field in fields)
+            x, y = (parse_number(field) for field in fields)
         except ValueError:
             raise TableError(f"bad number in {text!r}", lineno) from None
         if points:
@@ -207,7 +213,8 @@ def load_table(path: str) -> FunctionalParameter:
     return FunctionalParameter(name=f"table:{path}", family=TABLE, points=tuple(points))
 
 
-def _parse_number(text: str) -> int | float:
+def parse_number(text: str) -> int | float:
+    """A number field of a spec or table: an int where it reads as one, else a float."""
     try:
         return int(text)
     except ValueError:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .arith import Arithmetic
 from .errors import SpecError
+from .funcparam import parse_number
 
 CONST = "const"
 POWFACT = "powfact"  # terms r^n / n!
@@ -87,27 +88,20 @@ def from_spec(spec: str) -> SequenceSpec:
     head, _, rest = spec.partition(":")
     try:
         if head == CONST:
-            return SequenceSpec(CONST, param=_number(rest))
+            return SequenceSpec(CONST, param=parse_number(rest))
         if head in (POWFACT, FACTPOW):
             r = float(rest)
             if r <= 0:
                 raise SpecError(f"ratio must be positive in {spec!r}")
             return SequenceSpec(head, param=r)
         if head == LIST:
-            values = tuple(_number(part) for part in rest.split(","))
+            values = tuple(parse_number(part) for part in rest.split(","))
             if not values:
                 raise SpecError(f"empty list in {spec!r}")
             return SequenceSpec(LIST, values=values)
     except ValueError:
         raise SpecError(f"bad number in sequence spec {spec!r}") from None
     raise SpecError(f"unknown sequence spec {spec!r} (want const:, powfact:, factpow: or list:)")
-
-
-def _number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def arith_partial_sums(arith: Arithmetic, seq: SequenceSpec, n: int):

@@ -1,14 +1,16 @@
 """Independent oracles for the tests.
 
 Everything here deliberately avoids the package's memo/bisect machinery:
-f is evaluated directly with math, the carrier search is a linear scan,
-and law scans are plain nested loops.  Slow, obviously correct, and only
-ever used on small ranges.
+f is evaluated directly with math (mpmath for artanh), the carrier search
+is a linear scan, and law scans are plain nested loops.  Slow, obviously
+correct, and only ever used on small ranges.
 """
 
 from __future__ import annotations
 
 import math
+
+import mpmath
 
 
 def f_values(name: str, points: int) -> list:
@@ -24,6 +26,19 @@ def f_values(name: str, points: int) -> list:
     if name == "quad":
         return [(v + v * v) // 2 for v in range(points)]
     raise ValueError(name)
+
+
+def atanh_values(c: float, step: float, points: int) -> list:
+    """artanh(v/c) at grid points v = i*step through mpmath at 40 digits; +inf from v = c on."""
+    values = []
+    for i in range(points):
+        v = i * step
+        if v >= c:
+            values.append(math.inf)
+            continue
+        with mpmath.workdps(40):
+            values.append(float(mpmath.atanh(mpmath.mpf(v) / mpmath.mpf(c))))
+    return values
 
 
 def floor_index(fvals: list, target) -> int:
@@ -52,6 +67,15 @@ def ref_add(fvals: list, kind: str, i: int, j: int) -> int:
         return floor_index(fvals, target)
     k = ceil_index(fvals, target)
     return len(fvals) - 1 if k is None else k
+
+
+def ref_sub(fvals: list, kind: str, i: int, j: int) -> int:
+    """Reference subtraction on indices: the target f(a) - f(b) clamps at 0, and f(b) = +inf gives 0."""
+    fa, fb = fvals[i], fvals[j]
+    target = 0 if math.isinf(fb) else max(fa - fb, 0)
+    if kind == "projective":
+        return floor_index(fvals, target)
+    return ceil_index(fvals, target)  # target <= f(a): never past the top
 
 
 def ref_mul(fvals: list, kind: str, i: int, j: int) -> int:

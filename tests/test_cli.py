@@ -168,6 +168,49 @@ def test_undecodable_table_is_a_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"validation error: cannot read table file '{path}'")
 
 
+_DEMO_OUTPUT = """\
+headline equalities, each computed on the spot
+  2 + 2 = 3   under projective:pow:1.5@int:0:1000
+  2 + 2 = 2   under projective:pow:2@int:0:1000
+  2 * 2 = 3   under projective:quad@int:0:1000
+  2 * 2 = 3   under projective:exp2m1@int:0:100
+  5 + 5 = 5   under projective:exp2m1@int:0:100
+
+heap: one more grain does not change a heap
+  arithmetic projective:exp2m1@int:0:100
+  a heap of 10 grains gains a grain:
+  10 (+) 1 = 10
+  the heap is unchanged
+
+payphone: a pile of pennies and a phone that wants a nickel
+  arithmetic projective:exp2m1@int:0:100
+  adding a penny to a penny to a penny, 1000 times over:
+  1 (+) 1 (+) ... (+) 1 [1000 terms] = 1
+  a 5 is never reached
+
+bogo: buy one, get one free
+  arithmetic projective:exp2m1@int:0:100
+  one gallon costs $5; the second one is free:
+  5 (+) 5 = 5
+
+cans: tariff pricing breaks a + a = 2a
+  posted prices: 1 can $1.05, 2 cans $2.00
+  1.05 + 1.05 = 2.10, but two cans cost 2.00
+  so a + a != 2a in this price list
+
+lightspeed: velocities never add past c (speeds as fractions of c)
+  arithmetic projective:atanh:1@grid:0:1:0.001
+  0.500 (+) 0.500 = 0.800
+  closed-form velocity addition (u+v)/(1+uv) agrees: 0.800
+  1.000 (+) 0.600 = 1.000
+"""
+
+
+def test_demo_output_is_golden(capsys):
+    assert cli.main(["demo"]) == 0
+    assert capsys.readouterr().out == _DEMO_OUTPUT
+
+
 def test_repl_prints_through_the_commands(monkeypatch, capsys):
     spec = "projective:pow:1.5@int:0:1000"
     outputs, errors = [], []
@@ -252,12 +295,15 @@ def table_files(tmp_path_factory):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(fmt=st.sampled_from([[], ["--format", "table"], ["--format", "json"], ["--format", "csv"]]),
-       command=_commands | st.tuples(st.just("repl"), _specs).map(list) | st.just(["repl"]), lines=_repl_lines)
-def test_every_input_exits_with_a_contract_code(table_files, fmt, command, lines):
+       command=_commands | st.tuples(st.just("repl"), _specs).map(list) | st.just(["repl"]), lines=_repl_lines,
+       env_format=st.sampled_from([None, "json", " CSV ", "xml"]))
+def test_every_input_exits_with_a_contract_code(table_files, fmt, command, lines, env_format):
     argv = fmt + [arg.format(**table_files) for arg in command]
     stdin = io.StringIO("".join(line.format(**table_files) + "\n" for line in lines))
+    env = {} if env_format is None else {"NDA_FORMAT": env_format}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch("sys.stdin", stdin), mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,8 +1,16 @@
+import random
+
 import pytest
 
 from nda import cli
 from nda.arith import Arithmetic
-from nda.errors import LexError, OffCarrierError, ParseError
+from nda.errors import (
+    CarrierExhaustedError,
+    LexError,
+    MultiplicationUnavailableError,
+    OffCarrierError,
+    ParseError,
+)
 from nda.exprlang import (
     LT,
     MLL,
@@ -10,10 +18,13 @@ from nda.exprlang import (
     NUMBER,
     Binary,
     Literal,
+    Relation,
     evaluate,
     parse_text,
     tokenize,
 )
+
+from reference import atanh_values, ceil_index, f_values, floor_index, ref_sub
 
 POW2 = "projective:pow:2@int:0:100"
 
@@ -56,7 +67,8 @@ def test_addition_folds_left():
 @pytest.mark.parametrize("text", ["+".join(["1"] * 1500), "(" * 400 + "1" + ")" * 400,
                                   "1 == " + "1*" * 300 + "1"], ids=["chain", "nesting", "relation-side"])
 def test_deep_trees_are_refused_before_evaluation(text, monkeypatch):
-    monkeypatch.setattr(Arithmetic, "add", lambda *args: pytest.fail("evaluated a refused tree"))
+    for op in ("add_index", "sub_index", "mul_index"):
+        monkeypatch.setattr(Arithmetic, op, lambda *args: pytest.fail("evaluated a refused tree"))
     with pytest.raises(ParseError, match="more than 200"):
         parse_text(text)
     monkeypatch.delenv("NDA_FORMAT", raising=False)
@@ -84,3 +96,164 @@ def test_off_carrier_literal_rejected():
     node = parse_text("1.5 + 1")
     with pytest.raises(OffCarrierError, match="literal 1.5 is not on carrier int:0:100"):
         evaluate(node, Arithmetic.from_spec(POW2))
+
+
+# ----------------------------------------------------------------------
+# evaluate against an index-space reference over a seeded corpus
+# ----------------------------------------------------------------------
+
+CROSS_CHECK_SPECS = ["projective:pow:2@int:0:100", "dual:pow:2@int:0:100", "projective:exp2m1@int:0:100",
+                     "dual:exp2m1@int:0:100", "projective:atanh:1@grid:0:1:0.01"]
+_OP_TEXT = {"add": "+", "sub": "-", "mul": "*"}
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2}
+_REL_TEXT = {"eq": "==", "neq": "!=", "lt": "<", "mll": "<<", "mlll": "<<<"}
+_OFF_CARRIER = {"int": ["101", "1000", "0.5", "2.25"], "grid": ["0.005", "1.01", "2", "0.123"]}
+
+
+class IndexReference:
+    """An expression's index by linear scan over directly evaluated f, operands left to right.
+
+    Errors are the classes evaluate raises: a dual sum or product past f(top)
+    exhausts the carrier, and '*' needs f(1) = 1.
+    """
+
+    def __init__(self, spec: str):
+        head, _, carrier = spec.partition("@")
+        self.kind, _, name = head.partition(":")
+        self.step = 0.01 if carrier.startswith("grid") else None
+        self.fvals = atanh_values(1.0, 0.01, 101) if name == "atanh:1" else f_values(name, 101)
+        self.multiplicative = self.fvals[1 if self.step is None else 100] == 1
+
+    def value(self, i: int):
+        return i if self.step is None else i * self.step
+
+    def apply(self, op: str, i: int, j: int) -> int:
+        if op == "sub":
+            return ref_sub(self.fvals, self.kind, i, j)
+        fa, fb = self.fvals[i], self.fvals[j]
+        if op == "add":
+            target = fa + fb
+        elif not self.multiplicative:
+            raise MultiplicationUnavailableError
+        else:
+            target = 0 if fa == 0 or fb == 0 else fa * fb
+        if self.kind == "projective":
+            return floor_index(self.fvals, target)
+        k = ceil_index(self.fvals, target)
+        if k is None:
+            raise CarrierExhaustedError
+        return k
+
+    def index(self, tree) -> int:
+        if tree[0] == "lit":
+            return tree[1]
+        if tree[0] == "off":
+            raise OffCarrierError
+        left = self.index(tree[1])
+        return self.apply(tree[0], left, self.index(tree[2]))
+
+    def evaluate(self, tree):
+        if tree[0] != "rel":
+            return self.value(self.index(tree))
+        _, rel, left, right = tree
+        a = self.index(left)
+        b = self.index(right)
+        if rel == "eq":
+            return a == b
+        if rel == "neq":
+            return a != b
+        if rel == "lt":
+            return a < b
+        return self.apply("add" if rel == "mll" else "mul", b, a) == b
+
+
+def _random_tree(rng: random.Random, grid: bool, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.04:
+            return ("off", rng.choice(_OFF_CARRIER["grid" if grid else "int"]))
+        i = rng.choice([0, 1, 100, rng.randint(0, 8), rng.randint(0, 100)])
+        if grid:
+            text = f"{i / 100:.2f}" if rng.random() < 0.8 else f"{i / 100:g}"
+        else:
+            text = f"{i}.0" if rng.random() < 0.05 else str(i)
+        return ("lit", i, text)
+    return (rng.choice(list(_OP_TEXT)), _random_tree(rng, grid, depth - 1), _random_tree(rng, grid, depth - 1))
+
+
+def _text(tree) -> str:
+    """The tree with the fewest parentheses the left-associative grammar needs."""
+    if tree[0] == "rel":
+        return f"{_text(tree[2])} {_REL_TEXT[tree[1]]} {_text(tree[3])}"
+    if tree[0] in ("lit", "off"):
+        return tree[-1]
+    op, left, right = tree
+    left_text, right_text = _text(left), _text(right)
+    if left[0] in _OP_TEXT and _PRECEDENCE[left[0]] < _PRECEDENCE[op]:
+        left_text = f"({left_text})"
+    if right[0] in _OP_TEXT and _PRECEDENCE[right[0]] <= _PRECEDENCE[op]:
+        right_text = f"({right_text})"
+    return f"{left_text} {_OP_TEXT[op]} {right_text}"
+
+
+def _node(tree):
+    """The tree as the parser builds it."""
+    if tree[0] == "rel":
+        return Relation(tree[1], _node(tree[2]), _node(tree[3]))
+    if tree[0] in ("lit", "off"):
+        text = tree[-1]
+        return Literal(float(text) if "." in text else int(text))
+    return Binary(tree[0], _node(tree[1]), _node(tree[2]))
+
+
+def cross_check_corpus(per_spec: int = 400) -> list[tuple[str, tuple]]:
+    """(spec, tree) pairs: expressions up to 4 operators deep, a third of them under a root relation."""
+    rng = random.Random(20011108)
+    corpus = []
+    for spec in CROSS_CHECK_SPECS:
+        grid = "@grid" in spec
+        for _ in range(per_spec):
+            tree = _random_tree(rng, grid, rng.randint(0, 4))
+            if rng.random() < 0.35:
+                tree = ("rel", rng.choice(list(_REL_TEXT)), tree, _random_tree(rng, grid, rng.randint(0, 2)))
+            corpus.append((spec, tree))
+    return corpus
+
+
+def _outcome(thunk):
+    """(type, value) of a result, so that True is not 1; the class of a documented error."""
+    try:
+        result = thunk()
+    except (OffCarrierError, CarrierExhaustedError, MultiplicationUnavailableError) as exc:
+        return type(exc)
+    return type(result), result
+
+
+def test_evaluate_matches_the_index_reference():
+    references = {spec: IndexReference(spec) for spec in CROSS_CHECK_SPECS}
+    arithmetics = {spec: Arithmetic.from_spec(spec) for spec in CROSS_CHECK_SPECS}
+    seen = set()
+    for spec, tree in cross_check_corpus():
+        text = _text(tree)
+        node = parse_text(text)
+        assert node == _node(tree), text
+        expected = _outcome(lambda: references[spec].evaluate(tree))
+        assert _outcome(lambda: evaluate(node, arithmetics[spec])) == expected, (spec, text)
+        if expected is OffCarrierError:
+            with pytest.raises(OffCarrierError, match=f"^literal .+ is not on carrier {spec.partition('@')[2]}$"):
+                evaluate(node, arithmetics[spec])
+        seen.add(expected if isinstance(expected, type) else expected[0])
+        seen.update(op for op in _OP_TEXT if _OP_TEXT[op] in text)
+        if tree[0] == "rel":
+            seen.add(tree[1])
+    # every operator, relation, result type and documented error was met
+    assert seen == {int, float, bool, OffCarrierError, CarrierExhaustedError, MultiplicationUnavailableError,
+                    *_OP_TEXT, *_REL_TEXT}
+
+
+def test_expressions_do_not_call_the_value_level_ops(monkeypatch):
+    for op in ("add", "mul"):
+        monkeypatch.setattr(Arithmetic, op, lambda *args: pytest.fail("went through a value-level op"))
+    arith = Arithmetic.from_spec(POW2)
+    cases = {"2 + 2": 2, "7 - 3": 6, "2 * 3": 6, "(1 + 1) * 2 - 1": 1, "2 == 2": True, "1 != 2": True,
+             "2 < 1": False, "1 << 5": True, "4 << 5": False, "1 <<< 9": True, "2 <<< 9": False}
+    assert {text: evaluate(parse_text(text), arith) for text in cases} == cases
