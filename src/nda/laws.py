@@ -4,15 +4,18 @@ Laws are data: an arity and equations whose sides compose add and mul over
 index axes a, b, c, each op gathered from its memoised int32 table over
 [0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
 is read off the sides at the corner (R, ..., R) before anything is built.
-The cube [0..R]^arity is scanned in chunks of the leading index of at most
-MAX_SCAN_CELLS cells, 9 bytes each: np.take fills two int32 side buffers
-and np.not_equal a bool mask buffer.  One set of buffers (some 290 MB)
-serves a whole audit (check_laws), reused by every chunk, equation and law
-and freed when it returns.  R = 300 is one chunk, R = 1000 is 33.  An op
-whose table would pass MAX_TABLE_CELLS cells (32 MB) is gathered from a
-table over its distinct operands instead, whose size only the cube bounds:
-such a scan of more than MAX_SCAN_CELLS cells is refused.  Reports give
-holds / fails / not-applicable, the exact violation count and the smallest
+Op tables are symmetric by construction, as op_table mirrors each block,
+so with P[a, b, c] = op(op(a, b), c) associativity fails exactly where
+P[a, b, c] != P[c, b, a].  Its scans tile the (a, c) plane in blocks of
+ASSOC_TILE indices and compare P[A, :, C] with the transpose of P[C, :, A]
+for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
+Distributivity and the 1- and 2-ary laws scan [0..R]^arity in chunks of the
+leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32
+sides and a bool mask), in one set of buffers per audit (check_laws).  An
+op whose table would pass MAX_TABLE_CELLS cells (32 MB) is read from a
+table over its distinct operands instead; a scan of more than
+MAX_SCAN_CELLS cells that needs one is refused.  Reports give holds / fails
+/ not-applicable, the exact violation count and the smallest
 counterexample: least largest component, then lexicographic, which is the
 first violation in C order of the least cube [0..k]^arity that holds one.
 
@@ -41,6 +44,7 @@ INCONSISTENT = "inconsistent"
 # Cells in one chunk of a scan (9 bytes each), and in the largest op table (4 bytes each)
 MAX_SCAN_CELLS = 32_000_000
 MAX_TABLE_CELLS = MAX_SCAN_CELLS // 4
+ASSOC_TILE = 16  # indices per side of an (a, c) tile of the associativity scans
 
 
 @dataclass(frozen=True)
@@ -174,18 +178,19 @@ _LAWS = {
     "neutral-one": (1, True, [(("mul", "a", 1), "a"), (("mul", 1, "a"), "a")]),
 }
 ALL_LAWS = tuple(_LAWS)
+_TRANSPOSED = {"assoc-add": "add", "assoc-mul": "mul"}  # laws scanned in tiles, and their op
 
 
-def _least_violation(mask: np.ndarray, lo: int = 0) -> tuple[int, ...] | None:
-    """Least True cell (largest component, then lexicographic) of a chunk whose leading index starts at lo."""
-    offsets = (lo,) + (0,) * (mask.ndim - 1)
+def _least_violation(mask: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Least True cell (largest component, then lexicographic) of a block of the cube starting at offsets."""
     first = mask.argmax(axis=-1)  # only the first True cell along the last axis can be least
     hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
     if not hit.any():
         return None
     lead = np.indices(first.shape, sparse=True)
     key = reduce(np.maximum, [i + o for i, o in zip(lead, offsets)], first + offsets[-1])
-    cell = np.unravel_index(np.argmin(np.where(hit, key, mask.size + lo)), first.shape)
+    above = max(o + size for o, size in zip(offsets, mask.shape))  # above every key
+    cell = np.unravel_index(np.argmin(np.where(hit, key, above)), first.shape)
     return tuple(int(i) + o for i, o in zip(cell + (first[cell],), offsets))
 
 
@@ -210,20 +215,10 @@ def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty(cells, np.int32), np.empty(cells, np.int32), np.empty(cells, bool)
 
 
-def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = None) -> LawReport:
-    """Scan one law exhaustively over carrier indices [0, upper].
-
-    buffers are the (lhs, rhs, mask) arrays of a chunk that check_laws
-    shares across an audit; a single law allocates its own.
-    """
-    plan = _plan(arith, law, upper)
-    if plan is None:
-        return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    arity, equations, extents = plan
-    gather, n = partial(_gather, arith, _tables(arith, extents)), upper + 1
-    rows = _chunk_rows(arity, n)
+def _chunks(arith: Arithmetic, arity: int, equations, tables: dict, n: int, buffers: tuple | None):
+    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where an equation fails."""
+    gather, rows = partial(_gather, arith, tables), _chunk_rows(arity, n)
     lhs_buffer, rhs_buffer, mask_buffer = buffers or _buffers(rows * n ** (arity - 1))
-    count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
         mask = None
@@ -235,26 +230,69 @@ def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = N
                 mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
             else:
                 mask |= left != right
+        yield mask, 1, (lo,) + (0,) * (arity - 1)
+
+
+def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
+    """(mask, weight, offsets) of each tile A x [0..n-1] x C, A <= C, True where P[a, b, c] != P[c, b, a]."""
+    index = np.arange(n)  # P[a, b, c] = op(op(a, b), c) = outer[inner[a, b], c]
+    if table is None:  # too large: the outer op over the distinct inner values x [0..n-1]
+        values, inner = np.unique(arith.index_table(op, index[:, None], index), return_inverse=True)
+        inner, outer = inner.reshape(n, n), arith.index_table(op, values[:, None], index)
+    else:
+        inner, outer = table[:n, :n], table[:, :n]
+        if inner.shape != (n, n) or outer.shape[1] < n or inner.max() >= len(table):  # takes below wrap
+            raise IndexError(f"{op} operand past its table of shape {table.shape}")
+    starts = range(0, n, ASSOC_TILE)
+    cols = [np.ascontiguousarray(outer[:, lo:lo + ASSOC_TILE]) for lo in starts]  # every row read, one block's columns
+    for k, c0 in enumerate(starts):
+        for j, a0 in enumerate(starts[:k + 1]):  # inner[:, A] is inner[A, :].T, inner being symmetric
+            lhs = np.take(cols[k], inner[:, a0:a0 + ASSOC_TILE], axis=0, mode="wrap")  # P[A, :, C] as [b, a, c]
+            rhs = lhs if j == k else np.take(cols[j], inner[:, c0:c0 + ASSOC_TILE], axis=0, mode="wrap")
+            mask = (lhs != rhs.transpose(0, 2, 1)).transpose(1, 0, 2)  # rhs is P[C, :, A] as [b, c, a]
+            del lhs, rhs  # only the mask lives on while the caller reads it
+            yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too
+
+
+def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = None) -> LawReport:
+    """Scan one law exhaustively over carrier indices [0, upper].
+
+    Associativity is scanned in tiles (_tiles).  pairs_checked is still
+    (R+1)^3: the op tables' symmetry decides the mirrored half, and the
+    commutativity scans of an audit check it.  The other laws scan in
+    chunks, in the buffers check_laws shares; a single law allocates its own.
+    """
+    plan = _plan(arith, law, upper)
+    if plan is None:
+        return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
+    arity, equations, extents = plan
+    tables, n = _tables(arith, extents), upper + 1
+    op = _TRANSPOSED.get(law)
+    masks = _tiles(arith, op, tables.get(op), n) if op else _chunks(arith, arity, equations, tables, n, buffers)
+    count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
+    for mask, weight, offsets in masks:
         hits = int(np.count_nonzero(mask))
-        count += hits
-        if hits and lo < best[0]:  # a chunk's largest components are at least lo
-            cell = _least_violation(mask, lo)
+        count += weight * hits
+        if hits and max(offsets) <= best[0]:  # a block's largest components are at least its offsets
+            cell = _least_violation(mask, offsets)
             best = min(best, (max(cell), cell))
     witness = best[1] and tuple(arith.carrier.value_at(i) for i in best[1])
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
 
 
 def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
-    """check_law of each name in order, all scans sharing one set of buffers sized to the largest chunk.
+    """check_law of each name in order, all chunked scans sharing one set of buffers sized to the largest chunk.
 
     Every law is validated, and an oversize scan refused, before anything is
     allocated; each op table is then built once, at the largest extent any
     law needs.  Nothing outlives the call but the memoised op tables.
     """
     n, cells, extents = upper + 1, 0, {}
-    for plan in filter(None, [_plan(arith, law, upper) for law in names]):
-        cells = max(cells, _chunk_rows(plan[0], n) * n ** (plan[0] - 1))
-        for op, extent in plan[2].items():
+    for law in names:
+        arity, _, law_extents = _plan(arith, law, upper) or (0, None, {})
+        if arity and law not in _TRANSPOSED:
+            cells = max(cells, _chunk_rows(arity, n) * n ** (arity - 1))
+        for op, extent in law_extents.items():
             if extent is not None:
                 extents[op] = max(extents.get(op, 0), extent)
     _tables(arith, extents)
@@ -283,14 +321,9 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
     _check_upper(arith, upper)
     for mi in range(1, upper + 1):
         fp = _fixed_point_index(arith, mi)
-        ni = fp + 1
-        if ni <= upper:
-            return ArchimedeanReport(
-                False, upper,
-                witness=(arith.carrier.value_at(mi), arith.carrier.value_at(ni)),
-                fixed_point=arith.carrier.value_at(fp),
-                candidates_checked=mi,
-            )
+        if fp < upper:
+            value = arith.carrier.value_at
+            return ArchimedeanReport(False, upper, (value(mi), value(fp + 1)), value(fp), candidates_checked=mi)
     return ArchimedeanReport(True, upper, candidates_checked=upper)
 
 
@@ -309,7 +342,7 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int,
     # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality, and b = top only
     # by saturation, which is no evidence, as in check_archimedean
     mll = (add == b) & (a > 0) & (b < arith.carrier.size - 1)
-    cell = _least_violation(mll)
+    cell = _least_violation(mll, (0, 0))
     mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
     only_zero = cell is None
     status = CONSISTENT if archimedean.archimedean == only_zero else INCONSISTENT

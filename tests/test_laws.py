@@ -211,6 +211,43 @@ def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monke
     assert check_law(a, law, upper) == whole
 
 
+@pytest.mark.parametrize("spec, dtype", [
+    ("projective:pow:1.5@int:0:40", "float64"),
+    ("projective:pow:1.2@int:0:40", "float64"),
+    ("dual:pow:2@int:0:40", "int64"),
+    ("projective:exp2m1@int:0:40", "object"),
+    ("dual:exp2m1@int:0:40", "object"),
+    ("dual:quad@int:0:40", "int64"),
+])
+@pytest.mark.parametrize("law", ["assoc-add", "assoc-mul"])
+def test_tiled_assoc_scan_matches_reference(spec, dtype, law, monkeypatch, upper=22):
+    a = arith(spec)
+    assert a._f_array.dtype == dtype
+    kind, name = spec.split("@")[0].split(":", 1)
+    expected = reference_report(name, kind, law, upper, points=41)
+    for tile in (1, 3, 23):  # 3 does not divide R + 1 = 23, so the last block is short
+        monkeypatch.setattr(laws, "ASSOC_TILE", tile)
+        report = check_law(a, law, upper)
+        assert (report.witness, report.violations) == expected
+        assert report.status == (FAILS if expected[1] else HOLDS)
+        assert report.pairs_checked == (upper + 1) ** 3
+        assert check_laws(a, ALL_LAWS, upper)[ALL_LAWS.index(law)] == report
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # the outer op from a table over the distinct inner values
+    assert check_law(a, law, upper) == report
+
+
+def test_tiled_assoc_scan_memory():
+    a = arith("projective:pow:1.5@int:0:100")
+    check_law(a, "assoc-add", 60)  # the op table is memoised before tracing
+    tracemalloc.start()
+    try:
+        check_law(a, "assoc-add", 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 61 ** 3  # a chunk of the cube would take 9 * 61 ** 3 bytes
+
+
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_operand_past_a_short_table_raises(law, monkeypatch):
     # tables are taken from with mode="wrap", so a bounds check must catch an operand past the table
