@@ -4,12 +4,16 @@ f must be strictly increasing over the carrier, fix 0, and (when
 multiplication is wanted) fix 1.  Families that take integer values on
 integer carriers (identity, integral powers, exp2m1, quad) are evaluated
 in exact integer arithmetic so order comparisons never suffer float
-truncation.  artanh is evaluated by mpmath's low-level libmp kernel at 136
-bits (40 decimal digits) and rounded to the nearest double, so each
-memoised value is the correctly rounded double.  Grid points are rounded
-too, so velocity addition (u+v)/(1+uv) can land one point low where its
-exact sum is a grid point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
-libmp is loaded on the first artanh evaluation, not by ``import nda``.
+truncation.  artanh is defined by _atanh_scaled: mpmath's low-level libmp
+kernel at 136 bits (40 decimal digits), rounded to the nearest double, so
+each memoised value is the correctly rounded double.  bind evaluates it a
+block of ATANH_BLOCK points at a time with one long-double np.arctanh and
+keeps a point's rounding to double where a rounding test shows it cannot
+differ from _atanh_scaled's (see _atanh_block); libmp settles only the
+points left in doubt, 2-7% of a fine grid, and is loaded on the first
+of them, not by ``import nda``.  Grid points are rounded too, so velocity
+addition (u+v)/(1+uv) can land one point low where its exact sum is a grid
+point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
 
 Validation happens once, at binding time; evaluation afterwards is total.
 """
@@ -20,6 +24,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+
+import numpy as np
 
 from .carrier import Carrier
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
@@ -36,6 +42,14 @@ ONE_TOLERANCE = 1e-12
 
 # bits of artanh's working precision: what mpmath.workdps(40) sets
 ATANH_PREC = 136
+
+# carrier points of one long-double artanh evaluation in bind
+ATANH_BLOCK = 4096
+
+# K of _atanh_block's rounding test.  np.arctanh on long doubles (glibc's
+# atanhl on x86-64) errs by at most 2.36 eps_ld |y|, measured against mpmath
+# at 200 bits over the grids and scattered points of the tests; K is over 4x that
+ATANH_ERROR = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,11 @@ class FunctionalParameter:
 
 
 def _atanh_scaled(v: float, c: float) -> float:
-    """artanh(v/c), correctly rounded to double; +inf at and beyond v = c."""
+    """artanh(v/c), correctly rounded to double; +inf at and beyond v = c.
+
+    The one definition of an artanh f value: _atanh_block agrees with it
+    bit for bit and calls it wherever its own rounding is in doubt.
+    """
     if v >= c:
         return math.inf
     if v == 0:
@@ -96,6 +114,41 @@ def _atanh_scaled(v: float, c: float) -> float:
     libmp = _libmp()
     x = libmp.mpf_div(_to_mpf(libmp, v), _scale_mpf(c), ATANH_PREC, "n")
     return libmp.to_float(libmp.mpf_atanh(x, ATANH_PREC, "n"), rnd="n")  # to_float rounds down by default
+
+
+def _atanh_block(points: list, c: float) -> list[float]:
+    """[_atanh_scaled(v, c) for v in points], from one long-double arctanh.
+
+    With x = v/c and y = arctanh(x) in long double, the exact artanh(v/c)
+    lies within ATANH_ERROR * eps_ld * (|y| + |x| / (1 - x^2)) of y: the
+    first term is arctanh's own error, the second the rounding of v/c
+    carried through atanh' = 1/(1 - x^2), dropped where c is a power of two
+    and v/c is exact.  y rounded to double is then the correctly rounded
+    value unless y lies within that margin of a midpoint between the double
+    and a neighbour.  Such points, and every non-finite y, are settled by
+    _atanh_scaled.  Where long double is only double the margin passes half
+    an ulp, so every point is, at the old speed.
+    """
+    ld = np.longdouble
+    with np.errstate(divide="ignore", invalid="ignore"):  # v >= c gives x >= 1 and a non-finite y
+        x = np.array(points, dtype=ld) / ld(c)
+        y = np.arctanh(x)
+        spread = np.abs(y) if math.frexp(c)[0] == 0.5 else np.abs(y) + np.abs(x) / ((1 - x) * (1 + x))
+        margin = ATANH_ERROR * np.finfo(ld).eps * spread
+        d = y.astype(np.float64)
+        below = (d + np.nextafter(d, -np.inf).astype(ld)) / 2  # exact: two adjacent doubles fit a long double
+        above = (d + np.nextafter(d, np.inf).astype(ld)) / 2
+        unsure = ~np.isfinite(y) | ~(y - below > margin) | ~(above - y > margin)
+    values = d.tolist()
+    for i in np.flatnonzero(unsure).tolist():
+        values[i] = _atanh_scaled(points[i], c)
+    return values
+
+
+def _atanh_blocks(c: float, carrier: Carrier):
+    """_atanh_scaled(v, c) at each carrier point v in order, evaluated ATANH_BLOCK points at a time."""
+    for lo in range(0, carrier.size, ATANH_BLOCK):
+        yield from _atanh_block([carrier.value_at(i) for i in range(lo, min(lo + ATANH_BLOCK, carrier.size))], c)
 
 
 @cache
@@ -141,10 +194,11 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, li
     top of it: all rounding searches run against these values.
     """
     values: list = []
+    blocks = _atanh_blocks(f.param, carrier) if f.family == ATANH else None
     for i in range(carrier.size):
         v = carrier.value_at(i)
         try:
-            fv = f.evaluate(v)
+            fv = f.evaluate(v) if blocks is None else next(blocks)
         except (ValidationError, ValueError, OverflowError) as exc:
             return _failure(i, f"f undefined at {v}: {exc}", i), values
         if fv != fv:  # NaN

@@ -13,8 +13,12 @@ Distributivity and the 1- and 2-ary laws scan [0..R]^arity in chunks of the
 leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32
 sides and a bool mask), in one set of buffers per audit (check_laws).  An
 op whose table would pass MAX_TABLE_CELLS cells (32 MB) is read from a
-table over its distinct operands instead; a scan of more than
-MAX_SCAN_CELLS cells that needs one is refused.  Reports give holds / fails
+table over its distinct operands instead; a chunked scan of more than
+MAX_SCAN_CELLS cells that needs one is refused.  An associativity scan
+that needs one reads the outer op over its distinct inner values x [0..R]
+and the inner op over [0..R]^2, and is refused only when those, at most
+min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the
+cube passes MAX_SCAN_CELLS.  Reports give holds / fails
 / not-applicable, the exact violation count and the smallest
 counterexample: least largest component, then lexicographic, which is the
 first violation in C order of the least cube [0..k]^arity that holds one.
@@ -111,8 +115,8 @@ def _side(apply, arith: Arithmetic, side, axes, buffer=None):
     return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
 
 
-def _extents(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, int | None]:
-    """Each op's table extent in the sides, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
+def _extents(arith: Arithmetic, sides, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
+    """Each op's table extent in the sides, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
     extents: dict[str, int] = {}
 
     def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
@@ -122,10 +126,16 @@ def _extents(arith: Arithmetic, sides, upper: int, arity: int) -> dict[str, int 
     for side in sides:
         _side(corner, arith, side, (upper,) * 3)
     fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
-    if not all(fits.values()) and (upper + 1) ** arity > MAX_SCAN_CELLS:
-        cells = max((extent + 1) ** 2 for extent in extents.values())
-        raise ValueError(f"op table of {cells} cells for R = {upper} exceeds the limit {MAX_TABLE_CELLS} "
-                         f"and the scan of {(upper + 1) ** arity} cells the limit {MAX_SCAN_CELLS}; lower R")
+    n, top = upper + 1, max(extents.values())
+    if not all(fits.values()) and n ** arity > MAX_SCAN_CELLS:
+        if not tiled:
+            raise ValueError(f"op table of {(top + 1) ** 2} cells for R = {upper} exceeds the limit "
+                             f"{MAX_TABLE_CELLS} and the scan of {n ** arity} cells the limit {MAX_SCAN_CELLS}; lower R")
+        # _tiles reads the outer op over the distinct inner values x [0..R] and the inner op over [0..R]^2
+        cells = min(top + 1, n * n) * n + n * n
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(f"tiled scan of {cells} table cells for R = {upper} exceeds the limit "
+                             f"{MAX_TABLE_CELLS}; lower R")
     return {op: extent if fits[op] else None for op, extent in extents.items()}
 
 
@@ -202,7 +212,8 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     arity, needs_mul, equations = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equations, _extents(arith, [side for equation in equations for side in equation], upper, arity)
+    sides = [side for equation in equations for side in equation]
+    return arity, equations, _extents(arith, sides, upper, arity, law in _TRANSPOSED)
 
 
 def _chunk_rows(arity: int, n: int) -> int:

@@ -40,6 +40,47 @@ def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
     assert captured.out == ""
 
 
+# (argv, stdin, exit code, stderr): one row per exit code each subcommand can produce; stderr is
+# the line's label, or "" where nothing is written there.  laws, series practical, validate and
+# repl raise no evaluation error outside a REPL line, which prints it to stdout and reads on.
+_CONTRACT = [
+    (["eval", "projective:id@int:0:10", "2+2"], "", 0, ""),
+    (["eval", "projective:id", "2+2"], "", 1, "usage error"),
+    (["eval", "projective:pow:0@int:0:10", "2+2"], "", 2, "validation error"),
+    (["eval", "dual:id@int:0:10", "7+7"], "", 3, "evaluation error"),
+    (["laws", "projective:id@int:0:10", "-R", "5"], "", 0, ""),
+    (["laws", "projective:id@int:0:10", "--check", "nope"], "", 1, "usage error"),
+    (["laws", "projective:id@grid:0:1:0.3"], "", 2, "validation error"),
+    (["series", "sum", "projective:id@int:0:10", "const:1", "-n", "3"], "", 0, ""),
+    (["series", "sum", "projective:id@int:0:10", "harmonic"], "", 1, "usage error"),
+    (["series", "sum", "projective:pow:0@int:0:10", "const:1"], "", 2, "validation error"),
+    (["series", "sum", "projective:id@int:0:10", "const:0.5"], "", 3, "evaluation error"),
+    (["series", "practical", "powfact:1000"], "", 0, ""),
+    (["series", "practical", "list:1,2"], "", 1, "usage error"),
+    (["validate", "id@int:0:10"], "", 0, ""),
+    (["validate", "id@int:0"], "", 1, "usage error"),
+    (["validate", "pow:0@int:0:10"], "", 2, "validation error"),
+    (["validate", "atanh:0.5@grid:0:1:0.1"], "", 2, ""),  # f rejected by its report, on stdout
+    (["repl", "projective:id@int:0:10"], "2+2\n7 +\n:bogus\n", 0, ""),
+    (["repl", "affine:id@int:0:10"], "", 1, "usage error"),
+    (["repl", "projective:id@int:0:-5"], "", 2, "validation error"),
+    (["series"], "", 1, "usage error"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, label", _CONTRACT,
+                         ids=["-".join(argv[:2] if argv[0] == "series" else argv[:1]) + f"-{code}-{label or 'quiet'}"
+                              for argv, _, code, label in _CONTRACT])
+def test_exit_code_contract_case_by_case(argv, stdin, code, label, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if label:
+        assert err.startswith(f"{label}: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_overlong_fold_refused_before_any_term(monkeypatch, capsys):
     def no_term(*args):
         raise AssertionError("a term was folded for a refused sum")

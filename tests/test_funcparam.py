@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import nda
+from nda import funcparam
 from nda.carrier import Carrier
 from nda.errors import SpecError, TableError, ValidationError
 from nda.funcparam import (
@@ -68,20 +70,49 @@ class TestAtanhKernel:
     @pytest.mark.parametrize("f_spec, carrier_spec", [
         ("atanh:1", "grid:0:1:0.001"),  # float points, up to f(top) = inf
         ("atanh:100", "int:0:99"),  # int points
+        ("atanh:1", "grid:0:1:0.00002"),  # 50,001 points in 13 blocks; v/c exact, so the input term is dropped
+        ("atanh:3", "grid:0:3:0.0001"),  # v/c rounded in long double
+        ("atanh:1000", "int:0:5000"),  # f reaches +inf at 1000, inside the first block, and bind fails there
     ])
     def test_bound_values_match_mpmath(self, f_spec, carrier_spec):
         carrier = Carrier.from_spec(carrier_spec)
         f = from_spec(f_spec)
         report, values = bind(f, carrier)
-        assert report.ok
-        assert values == [mpmath_atanh(carrier.value_at(i), f.param) for i in range(carrier.size)]
+        assert report.ok == (f.param >= carrier.max)
+        assert len(values) == (carrier.size if report.ok else report.failure_index + 1)
+        assert values == [mpmath_atanh(carrier.value_at(i), f.param) for i in range(len(values))]
 
     @pytest.mark.parametrize("c", [0.5, 3.0, 1.0000001])
     def test_scattered_points_match_mpmath(self, c):
         rng = random.Random(0)
-        points = [rng.uniform(0, c) for _ in range(300)] + [c * (1 - 2 ** -52), c * (1 - 1e-9), 1e-300]
+        points = [rng.uniform(0, c) for _ in range(300)] + [c * (1 - 2 ** -52), c * (1 - 1e-9), 1e-300, 5e-324]
         f = from_spec(f"atanh:{c}")
-        assert [f.evaluate(v) for v in points] == [mpmath_atanh(v, c) for v in points]
+        expected = [mpmath_atanh(v, c) for v in points]
+        assert [f.evaluate(v) for v in points] == expected
+        assert funcparam._atanh_block(points, c) == expected  # bind's path
+
+    @staticmethod
+    def _count_libmp_points(monkeypatch) -> list:
+        calls = []
+        atanh = funcparam._atanh_scaled
+        monkeypatch.setattr(funcparam, "_atanh_scaled", lambda v, c: calls.append(v) or atanh(v, c))
+        return calls
+
+    @pytest.mark.parametrize("f_spec, carrier_spec", [("atanh:1", "grid:0:1:0.001"), ("atanh:3", "grid:0:3:0.003")])
+    def test_every_point_unsure_gives_the_same_values(self, f_spec, carrier_spec, monkeypatch):
+        carrier, f = Carrier.from_spec(carrier_spec), from_spec(f_spec)
+        _, fast = bind(f, carrier)
+        calls = self._count_libmp_points(monkeypatch)
+        monkeypatch.setattr(funcparam, "ATANH_ERROR", math.inf)  # a margin wider than any ulp
+        assert bind(f, carrier)[1] == fast
+        assert len(calls) == carrier.size
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here: every point is unsure")
+    def test_libmp_settles_few_points(self, monkeypatch):
+        carrier = Carrier.from_spec("grid:0:1:0.00002")
+        calls = self._count_libmp_points(monkeypatch)
+        assert bind(from_spec("atanh:1"), carrier)[0].ok
+        assert 0 < len(calls) < carrier.size // 10
 
     def test_mpmath_loads_on_first_atanh_only(self):
         src = str(Path(nda.__file__).resolve().parents[1])

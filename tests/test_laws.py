@@ -184,6 +184,36 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
             check_law(a, law, 12)
 
 
+@pytest.mark.parametrize("spec, law, extent", [
+    ("projective:pow:1.5@int:0:1000", "assoc-mul", 483),  # mul(22, 22), one below 22^2 = 484 by rounding
+    ("projective:id@int:0:100", "assoc-add", 44),
+])
+def test_tiled_scan_bounded_by_the_cells_it_reads(spec, law, extent, monkeypatch, upper=22):
+    a, n = arith(spec), upper + 1
+    kind, name = spec.split("@")[0].split(":", 1)
+    reads = (extent + 1) * n + n * n  # the outer op over [0..M] x [0..R], the inner op over [0..R]^2
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n * n)
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", reads)
+    assert n ** 3 > laws.MAX_SCAN_CELLS and (extent + 1) ** 2 > laws.MAX_TABLE_CELLS  # neither cube nor table fits
+    report = check_law(a, law, upper)
+    assert (report.witness, report.violations) == reference_report(name, kind, law, upper, points=a.carrier.size)
+    assert check_laws(a, [law], upper) == [report]
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", reads - 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        check_law(a, law, upper)
+
+
+def test_oversize_distributivity_still_refused(monkeypatch, upper=22):
+    # the limits under which test_tiled_scan_bounded_by_the_cells_it_reads admits assoc-mul
+    a, n = arith("projective:pow:1.5@int:0:1000"), upper + 1
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n * n)
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 484 * n + n * n)
+    assert check_law(a, "assoc-mul", upper).status == FAILS
+    monkeypatch.setattr(Arithmetic, "index_table", lambda *args: pytest.fail("an op table was built for a refused scan"))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        check_law(a, "distributivity", upper)
+
+
 @pytest.mark.parametrize("spec, dtype", [
     ("projective:pow:1.5@int:0:40", "float64"),
     # assoc-add with one leading index a chunk: a=2 holds violations, the witness (3, 4, 4) the next chunk
