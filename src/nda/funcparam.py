@@ -207,7 +207,7 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, li
             if fv != 0:
                 return _failure(0, f"f(0) must be 0 exactly, got {fv}", 1), values
         else:
-            if math.isinf(values[-1]):
+            if values[-1] == math.inf:  # exact for an int past 2^1024, which isinf would convert to float
                 return _failure(i - 1, "f reaches +inf before the top element", i), values
             if not fv > values[-1]:
                 # blame the first index of the violating pair (i-1, i)
@@ -289,7 +289,7 @@ def from_spec(spec: str) -> FunctionalParameter:
             p = float(rest)
         except ValueError:
             raise SpecError(f"bad exponent in {spec!r}") from None
-        if p <= 0:
+        if not p > 0:  # NaN too
             raise ValidationError(f"pow exponent must be positive, got {p}")
         return FunctionalParameter(f"pow:{rest}", POWER, param=p)
     if head == "atanh":
@@ -297,7 +297,7 @@ def from_spec(spec: str) -> FunctionalParameter:
             c = float(rest)
         except ValueError:
             raise SpecError(f"bad scale in {spec!r}") from None
-        if c <= 0:
+        if not c > 0:  # NaN too
             raise ValidationError(f"atanh scale must be positive, got {c}")
         return FunctionalParameter(f"atanh:{rest}", ATANH, param=c)
     if head == "table" and rest:

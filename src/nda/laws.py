@@ -11,14 +11,15 @@ ASSOC_TILE indices and compare P[A, :, C] with the transpose of P[C, :, A]
 for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
 Distributivity and the 1- and 2-ary laws scan [0..R]^arity in chunks of the
 leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32
-sides and a bool mask), in one set of buffers per audit (check_laws).  An
-op whose table would pass MAX_TABLE_CELLS cells (32 MB) is read from a
-table over its distinct operands instead; a chunked scan of more than
-MAX_SCAN_CELLS cells that needs one is refused.  An associativity scan
-that needs one reads the outer op over its distinct inner values x [0..R]
-and the inner op over [0..R]^2, and is refused only when those, at most
-min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the
-cube passes MAX_SCAN_CELLS.  Reports give holds / fails
+sides and a bool mask), in buffers each scan allocates once.  An op whose
+table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly over
+each chunk's operands instead, and such a scan takes one leading index a
+chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
+cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity
+scan that needs one reads the outer op over its distinct inner values x
+[0..R] and the inner op over [0..R]^2, and is refused only when those, at
+most min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while
+the cube passes MAX_SCAN_CELLS.  Reports give holds / fails
 / not-applicable, the exact violation count and the smallest
 counterexample: least largest component, then lexicographic, which is the
 first violation in C order of the least cube [0..k]^arity that holds one.
@@ -146,12 +147,10 @@ def _tables(arith: Arithmetic, extents: dict[str, int | None]) -> dict[str, np.n
 
 def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray,
             buffer: np.ndarray | None = None) -> np.ndarray:
-    """op's table[x, y], taken into a prefix of buffer (a fresh array when None)."""
+    """op's table[x, y], taken into a prefix of buffer (a fresh array when None), or computed where op has no table."""
     table = tables.get(op)
-    if table is None:  # too large: a table over the distinct operands only
-        ux, ix = np.unique(x, return_inverse=True)
-        uy, iy = np.unique(y, return_inverse=True)
-        table, x, y = arith.index_table(op, ux[:, None], uy[None, :]), ix.reshape(x.shape), iy.reshape(y.shape)
+    if table is None:  # too large for a table: computed over these operands only
+        return arith.index_table(op, x, y)
     if x.max() >= table.shape[0] or y.max() >= table.shape[1]:  # np.take below wraps instead of raising
         raise IndexError(f"{op} operand past its table of shape {table.shape}")
     shape = np.broadcast_shapes(x.shape, y.shape)
@@ -216,20 +215,16 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     return arity, equations, _extents(arith, sides, upper, arity, law in _TRANSPOSED)
 
 
-def _chunk_rows(arity: int, n: int) -> int:
-    """Leading indices in one chunk of the cube [0..n-1]^arity."""
-    return min(n, max(1, MAX_SCAN_CELLS // n ** (arity - 1)))
+def _chunks(arith: Arithmetic, arity: int, equations, extents: dict, n: int):
+    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where an equation fails.
 
-
-def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two int32 sides and a bool mask of a chunk of cells."""
-    return np.empty(cells, np.int32), np.empty(cells, np.int32), np.empty(cells, bool)
-
-
-def _chunks(arith: Arithmetic, arity: int, equations, tables: dict, n: int, buffers: tuple | None):
-    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where an equation fails."""
-    gather, rows = partial(_gather, arith, tables), _chunk_rows(arity, n)
-    lhs_buffer, rhs_buffer, mask_buffer = buffers or _buffers(rows * n ** (arity - 1))
+    A chunk holds at most MAX_SCAN_CELLS cells, or n where an op has no table
+    (extent None), rounded up to whole leading indices.
+    """
+    budget = n if None in extents.values() else MAX_SCAN_CELLS
+    gather, rows = partial(_gather, arith, _tables(arith, extents)), min(n, max(1, budget // n ** (arity - 1)))
+    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk
+    lhs_buffer, rhs_buffer, mask_buffer = np.empty(cells, np.int32), np.empty(cells, np.int32), np.empty(cells, bool)
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
         mask = None
@@ -265,21 +260,20 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
             yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too
 
 
-def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = None) -> LawReport:
+def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
     Associativity is scanned in tiles (_tiles).  pairs_checked is still
     (R+1)^3: the op tables' symmetry decides the mirrored half, and the
     commutativity scans of an audit check it.  The other laws scan in
-    chunks, in the buffers check_laws shares; a single law allocates its own.
+    chunks (_chunks), computing an op with no table chunk by chunk.
     """
     plan = _plan(arith, law, upper)
     if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
     arity, equations, extents = plan
-    tables, n = _tables(arith, extents), upper + 1
-    op = _TRANSPOSED.get(law)
-    masks = _tiles(arith, op, tables.get(op), n) if op else _chunks(arith, arity, equations, tables, n, buffers)
+    n, op = upper + 1, _TRANSPOSED.get(law)
+    masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equations, extents, n)
     count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
     for mask, weight, offsets in masks:
         hits = int(np.count_nonzero(mask))
@@ -292,23 +286,20 @@ def check_law(arith: Arithmetic, law: str, upper: int, buffers: tuple | None = N
 
 
 def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
-    """check_law of each name in order, all chunked scans sharing one set of buffers sized to the largest chunk.
+    """check_law of each name in order, each op table built once, at the largest extent any law needs.
 
-    Every law is validated, and an oversize scan refused, before anything is
-    allocated; each op table is then built once, at the largest extent any
-    law needs.  Nothing outlives the call but the memoised op tables.
+    Every law is validated, and an oversize scan refused, before any table
+    is built.  Each scan allocates its own chunk buffers, so nothing outlives
+    the call but the memoised op tables.
     """
-    n, cells, extents = upper + 1, 0, {}
+    extents = {}
     for law in names:
-        arity, _, law_extents = _plan(arith, law, upper) or (0, None, {})
-        if arity and law not in _TRANSPOSED:
-            cells = max(cells, _chunk_rows(arity, n) * n ** (arity - 1))
-        for op, extent in law_extents.items():
+        plan = _plan(arith, law, upper)  # None where the law is not applicable
+        for op, extent in (plan[2] if plan else {}).items():
             if extent is not None:
                 extents[op] = max(extents.get(op, 0), extent)
     _tables(arith, extents)
-    buffers = _buffers(cells)
-    return [check_law(arith, law, upper, buffers) for law in names]
+    return [check_law(arith, law, upper) for law in names]
 
 
 def _fixed_point_index(arith: Arithmetic, mi: int) -> int:

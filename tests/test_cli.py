@@ -47,6 +47,7 @@ _CONTRACT = [
     (["eval", "projective:id@int:0:10", "2+2"], "", 0, ""),
     (["eval", "projective:id", "2+2"], "", 1, "usage error"),
     (["eval", "projective:pow:0@int:0:10", "2+2"], "", 2, "validation error"),
+    (["eval", "projective:exp2m1@int:0:2000", "2+2"], "", 0, ""),
     (["eval", "dual:id@int:0:10", "7+7"], "", 3, "evaluation error"),
     (["laws", "projective:id@int:0:10", "-R", "5"], "", 0, ""),
     (["laws", "projective:id@int:0:10", "--check", "nope"], "", 1, "usage error"),
@@ -60,6 +61,8 @@ _CONTRACT = [
     (["validate", "id@int:0:10"], "", 0, ""),
     (["validate", "id@int:0"], "", 1, "usage error"),
     (["validate", "pow:0@int:0:10"], "", 2, "validation error"),
+    (["validate", "pow:nan@int:0:10"], "", 2, "validation error"),
+    (["validate", "exp2m1@int:0:1100"], "", 0, ""),  # f values past 2^1024
     (["validate", "atanh:0.5@grid:0:1:0.1"], "", 2, ""),  # f rejected by its report, on stdout
     (["repl", "projective:id@int:0:10"], "2+2\n7 +\n:bogus\n", 0, ""),
     (["repl", "affine:id@int:0:10"], "", 1, "usage error"),
@@ -68,9 +71,16 @@ _CONTRACT = [
 ]
 
 
-@pytest.mark.parametrize("argv, stdin, code, label", _CONTRACT,
-                         ids=["-".join(argv[:2] if argv[0] == "series" else argv[:1]) + f"-{code}-{label or 'quiet'}"
-                              for argv, _, code, label in _CONTRACT])
+def _case_ids(cases) -> list[str]:
+    """Command, exit code and label of each case; a later case with the same three adds its spec."""
+    ids = []
+    for argv, _, code, label in cases:
+        case = "-".join(argv[:2] if argv[0] == "series" else argv[:1]) + f"-{code}-{label or 'quiet'}"
+        ids.append(case if case not in ids else f"{case}-{argv[1]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv, stdin, code, label", _CONTRACT, ids=_case_ids(_CONTRACT))
 def test_exit_code_contract_case_by_case(argv, stdin, code, label, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert cli.main(argv) == code
@@ -145,7 +155,7 @@ def test_unusable_carriers_are_rejected_before_bind(spec, monkeypatch, capsys):
 
 def test_scan_past_the_table_bound_runs_on_distinct_operands(capsys):
     # assoc-mul's outer mul needs mul(100, 100) = 10000, a table of 10^8 cells;
-    # the scan of 101^3 cells gathers from tables over its distinct operands
+    # the scans of 101^3 cells compute it directly, one leading index a chunk
     assert cli.main(["--format", "json", "laws", "projective:pow:1.5@int:0:10000", "--check", "all"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["law"], r["status"], r["witness"], r["violations"]) for r in records] == [

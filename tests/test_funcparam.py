@@ -166,6 +166,12 @@ class TestValidate:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert validate(f, Carrier.integers(50)).ok
 
+    def test_exact_values_past_float_range_bind(self):
+        # 2^1024 - 1 and above overflow a float conversion, so the +inf check must compare exactly
+        report, values = bind(from_spec("exp2m1"), Carrier.integers(1100))
+        assert report.ok
+        assert values == [(1 << v) - 1 for v in range(1101)]
+
     @pytest.mark.parametrize("spec", ["id", "pow:1.5", "pow:2", "exp2m1", "quad", "atanh:1"])
     def test_builtins_fix_zero_exactly(self, spec):
         assert from_spec(spec).evaluate(0) == 0
@@ -268,3 +274,6 @@ class TestFromSpec:
             from_spec("pow:0")
         with pytest.raises(ValidationError):
             from_spec("atanh:-1")
+        for spec in ("pow:nan", "atanh:nan"):
+            with pytest.raises(ValidationError):
+                from_spec(spec)

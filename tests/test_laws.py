@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from nda import laws
@@ -169,7 +170,7 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
     a = arith("projective:pow:1.5@int:0:30")
     # R=12: the 2-ary scans need tables over [0..12]^2; assoc-add and
     # distributivity need add(12, 12) = 19 and assoc-mul mul(12, 12) = 30
-    # and their tables over distinct operands would need the whole cube
+    # and computing those ops directly would scan the whole cube past its limit
     monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 13 ** 2)
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", 13 ** 2)
     assert check_law(a, "commutativity-add", 12).pairs_checked == 13 ** 2
@@ -233,12 +234,31 @@ def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monke
     for rows in (1, 4):  # 4 does not divide R + 1 = 23, so the last chunk is short
         monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1) ** (arity - 1))
         assert check_law(a, law, upper) == whole
-        # one audit shares buffers sized to its largest chunk: a short last chunk and
-        # the 1-ary laws after distributivity see a longer buffer than their own cells
+        # each scan reuses its buffers across chunks: a short last chunk sees a longer
+        # buffer than its own cells
         assert check_laws(a, ALL_LAWS, upper)[ALL_LAWS.index(law)] == whole
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", (upper + 1) ** arity)
-    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # every op from a table over its distinct operands
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # every op computed directly, one leading index a chunk
+    cells, index_table = [], Arithmetic.index_table
+    monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
+        cells.append(np.broadcast(rows, cols).size), index_table(self, op, rows, cols))[1])
     assert check_law(a, law, upper) == whole
+    n = upper + 1
+    if law not in laws._TRANSPOSED:  # the tiled scans read the outer op over their distinct inner values
+        assert cells and max(cells) <= max(n, n ** (arity - 1))
+
+
+def test_scan_past_the_table_bound_memory():
+    a = arith("projective:pow:1.5@int:0:10000")
+    check_law(a, "distributivity", 100)  # the op tables are memoised before tracing; add's would pass 8M cells
+    assert None in laws._plan(a, "distributivity", 100)[2].values()
+    tracemalloc.start()
+    try:
+        check_law(a, "distributivity", 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 101 ** 3  # one leading index a chunk; the whole cube would take 9 * 101 ** 3 bytes
 
 
 @pytest.mark.parametrize("spec, dtype", [
