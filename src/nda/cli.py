@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -158,10 +159,17 @@ def _fmt_cell(v) -> str:
     return _fmt_value(v)
 
 
+def _json_value(v):
+    """v with each non-finite float as None, since JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return [_json_value(x) for x in v] if isinstance(v, (tuple, list)) else v
+
+
 def _emit_records(records: list[dict], columns: tuple[str, ...], fmt: str) -> None:
     if fmt == "json":
         for record in records:
-            print(json.dumps(record))
+            print(json.dumps({key: _json_value(v) for key, v in record.items()}))
         return
     if fmt == "csv":
         buffer = io.StringIO()

@@ -4,25 +4,28 @@ Laws are data: an arity and equations whose sides compose add and mul over
 index axes a, b, c, each op gathered from its memoised int32 table over
 [0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
 is read off the sides at the corner (R, ..., R) before anything is built.
-Op tables are symmetric by construction, as op_table mirrors each block,
-so with P[a, b, c] = op(op(a, b), c) associativity fails exactly where
-P[a, b, c] != P[c, b, a].  Its scans tile the (a, c) plane in blocks of
-ASSOC_TILE indices and compare P[A, :, C] with the transpose of P[C, :, A]
-for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
-Distributivity and the 1- and 2-ary laws scan [0..R]^arity in chunks of the
-leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32
-sides and a bool mask), in buffers each scan allocates once.  An op whose
-table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly over
-each chunk's operands instead, and such a scan takes one leading index a
-chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
+Op tables are symmetric: f(i)+f(j) and f(i)*f(j) commute, and op_table
+mirrors each block (test_op_table_triangle_fills_the_square checks them
+against index_table; an audit's commutativity scans read the same tables, so
+they cannot).  With P[a, b, c] = op(op(a, b), c), associativity thus fails
+exactly where P[a, b, c] != P[c, b, a].  Its scans tile the (a, c) plane in
+blocks of ASSOC_TILE indices and compare P[A, :, C] with the transpose of
+P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
+Distributivity, the 1- and 2-ary laws and the Archimedean theorem's
+absorption cells (add(a, b) == a, its mask inverted) scan [0..R]^arity in
+chunks of the leading index of at most MAX_SCAN_CELLS cells, 9 bytes each
+(two int32 sides and a bool mask), in buffers each scan allocates once.  An
+op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly
+over each chunk's operands instead, and such a scan takes one leading index
+a chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
 cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity
 scan that needs one reads the outer op over its distinct inner values x
 [0..R] and the inner op over [0..R]^2, and is refused only when those, at
 most min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while
-the cube passes MAX_SCAN_CELLS.  Reports give holds / fails
-/ not-applicable, the exact violation count and the smallest
-counterexample: least largest component, then lexicographic, which is the
-first violation in C order of the least cube [0..k]^arity that holds one.
+the cube passes MAX_SCAN_CELLS.  Reports give holds / fails /
+not-applicable, the exact violation count and the smallest counterexample:
+least largest component, then lexicographic, which is the first violation in
+C order of the least cube [0..k]^arity that holds one.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -70,7 +73,7 @@ class LawReport:
 
 @dataclass(frozen=True)
 class ArchimedeanReport:
-    """Whether repeated addition of any m <= R eventually exceeds every n <= R."""
+    """Whether the repeated sums of every 1 <= m <= R eventually reach every n <= R."""
 
     archimedean: bool
     upper: int
@@ -87,7 +90,7 @@ class TheoremReport:
     archimedean: bool
     mll_only_zero: bool
     upper: int
-    mll_witness: tuple | None = None  # (a, b) with a << b and a > 0, if any
+    mll_witness: tuple | None = None  # (a, b) with a << b, a > 0 and b < R, if any
 
 
 def _check_upper(arith: Arithmetic, upper: int) -> None:
@@ -116,15 +119,15 @@ def _side(apply, arith: Arithmetic, side, axes, buffer=None):
     return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
 
 
-def _extents(arith: Arithmetic, sides, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
-    """Each op's table extent in the sides, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
+def _extents(arith: Arithmetic, equations, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
+    """Each op's table extent in the equations, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
     extents: dict[str, int] = {}
 
     def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
         extents[op] = max(extents.get(op, 0), int(i), int(j))
         return _clamped(arith, op, int(i), int(j))
 
-    for side in sides:
+    for side in sum(equations, ()):  # both sides of every equation
         _side(corner, arith, side, (upper,) * 3)
     fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
     n, top = upper + 1, max(extents.values())
@@ -190,12 +193,10 @@ ALL_LAWS = tuple(_LAWS)
 _TRANSPOSED = {"assoc-add": "add", "assoc-mul": "mul"}  # laws scanned in tiles, and their op
 
 
-def _least_violation(mask: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Least True cell (largest component, then lexicographic) of a block of the cube starting at offsets."""
+def _least_violation(mask: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """Least True cell (largest component, then lexicographic) of a block of the cube starting at offsets; one must be."""
     first = mask.argmax(axis=-1)  # only the first True cell along the last axis can be least
     hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
-    if not hit.any():
-        return None
     lead = np.indices(first.shape, sparse=True)
     key = reduce(np.maximum, [i + o for i, o in zip(lead, offsets)], first + offsets[-1])
     above = max(o + size for o, size in zip(offsets, mask.shape))  # above every key
@@ -211,8 +212,7 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     arity, needs_mul, equations = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    sides = [side for equation in equations for side in equation]
-    return arity, equations, _extents(arith, sides, upper, arity, law in _TRANSPOSED)
+    return arity, equations, _extents(arith, equations, upper, arity, law in _TRANSPOSED)
 
 
 def _chunks(arith: Arithmetic, arity: int, equations, extents: dict, n: int):
@@ -260,13 +260,25 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
             yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too
 
 
+def _fold(masks, n: int) -> tuple[int, tuple | None]:
+    """(weighted count of True cells, least True cell or None) over the (mask, weight, offsets) blocks of a scan."""
+    count, best = 0, (n, None)  # (largest component, cell) of the least True cell so far
+    for mask, weight, offsets in masks:
+        hits = int(np.count_nonzero(mask))
+        count += weight * hits
+        if hits and max(offsets) <= best[0]:  # a block's largest components are at least its offsets
+            cell = _least_violation(mask, offsets)
+            best = min(best, (max(cell), cell))
+    return count, best[1]
+
+
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
     Associativity is scanned in tiles (_tiles).  pairs_checked is still
-    (R+1)^3: the op tables' symmetry decides the mirrored half, and the
-    commutativity scans of an audit check it.  The other laws scan in
-    chunks (_chunks), computing an op with no table chunk by chunk.
+    (R+1)^3: the op tables' symmetry (see the module docstring) decides the
+    mirrored half.  The other laws scan in chunks (_chunks), computing an op
+    with no table chunk by chunk.
     """
     plan = _plan(arith, law, upper)
     if plan is None:
@@ -274,14 +286,8 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     arity, equations, extents = plan
     n, op = upper + 1, _TRANSPOSED.get(law)
     masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equations, extents, n)
-    count, best = 0, (n, None)  # (largest component, cell) of the least violation so far
-    for mask, weight, offsets in masks:
-        hits = int(np.count_nonzero(mask))
-        count += weight * hits
-        if hits and max(offsets) <= best[0]:  # a block's largest components are at least its offsets
-            cell = _least_violation(mask, offsets)
-            best = min(best, (max(cell), cell))
-    witness = best[1] and tuple(arith.carrier.value_at(i) for i in best[1])
+    count, cell = _fold(masks, n)
+    witness = cell and tuple(arith.carrier.value_at(i) for i in cell)
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
 
 
@@ -302,30 +308,22 @@ def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int
     return [check_law(arith, law, upper) for law in names]
 
 
-def _fixed_point_index(arith: Arithmetic, mi: int) -> int:
-    s = mi
-    for _ in range(arith.carrier.size):
-        nxt = _clamped(arith, "add", s, mi)  # a dual sum that leaves the window stops at the top
-        if nxt == s:
-            return s
-        s = nxt
-    return s
-
-
 def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
     """Search for m whose repeated sums get stuck below some n <= R.
 
-    Repeated sums on the finite window either reach a genuine fixed point or
-    climb to the saturated top.  The top is no evidence: a sum that reaches
-    it may well have kept growing on a larger carrier, so only a fixed point
-    strictly below some n <= R counts as a witness, which the top never is.
+    Only a fixed point below R is a witness, n being the fixed point + 1; the
+    saturated top is none, as its sums may have kept growing on a larger
+    carrier.  Sums never fall, so an orbit is followed only while below R.
     """
     _check_upper(arith, upper)
+    value = arith.carrier.value_at
     for mi in range(1, upper + 1):
-        fp = _fixed_point_index(arith, mi)
-        if fp < upper:
-            value = arith.carrier.value_at
-            return ArchimedeanReport(False, upper, (value(mi), value(fp + 1)), value(fp), candidates_checked=mi)
+        s = mi
+        while s < upper:  # at most R - m sums; a dual sum past the window stops at the top
+            nxt = _clamped(arith, "add", s, mi)
+            if nxt == s:
+                return ArchimedeanReport(False, upper, (value(mi), value(s + 1)), value(s), candidates_checked=mi)
+            s = nxt
     return ArchimedeanReport(True, upper, candidates_checked=upper)
 
 
@@ -334,18 +332,20 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int,
     """Check Archimedean <=> (a << b only for a = 0), both sides computed.
 
     archimedean is check_archimedean(arith, upper) where the caller has it
-    already; it is computed here otherwise.
+    already; it is computed here otherwise.  a << b counts only where b < R,
+    as only a fixed point below R is an Archimedean witness.
     """
     _check_upper(arith, upper)
     if archimedean is None:
         archimedean = check_archimedean(arith, upper)
-    b, a = np.ix_(np.arange(upper + 1), np.arange(upper + 1))
-    add = _gather(arith, _tables(arith, _extents(arith, [("add", "b", "a")], upper, 2)), "add", b, a)
-    # a << b  <=>  add(b, a) == b; a = 0 holds by neutrality, and b = top only
-    # by saturation, which is no evidence, as in check_archimedean
-    mll = (add == b) & (a > 0) & (b < arith.carrier.size - 1)
-    cell = _least_violation(mll, (0, 0))
-    mll_witness = None if cell is None else tuple(arith.carrier.value_at(i) for i in cell[::-1])
-    only_zero = cell is None
-    status = CONSISTENT if archimedean.archimedean == only_zero else INCONSISTENT
-    return TheoremReport(status, archimedean.archimedean, only_zero, upper, mll_witness)
+    equations, n = [(("add", "a", "b"), "a")], upper + 1  # holds where b << a, reported as (b, a)
+
+    def absorbed(masks):  # b = 0 is absorbed by neutrality; a >= R is no fixed point below R
+        for mask, weight, (lo, _) in masks:
+            np.logical_not(mask, out=mask)
+            mask[:, 0] = mask[upper - lo:] = False
+            yield mask, weight, (lo, 0)
+    _, cell = _fold(absorbed(_chunks(arith, 2, equations, _extents(arith, equations, upper, 2), n)), n)
+    mll_witness = cell and tuple(arith.carrier.value_at(i) for i in cell[::-1])
+    status = CONSISTENT if archimedean.archimedean == (cell is None) else INCONSISTENT
+    return TheoremReport(status, archimedean.archimedean, cell is None, upper, mll_witness)

@@ -57,10 +57,8 @@ class SequenceSpec:
     def log_term(self, n: int) -> float:
         """Natural log of |t_n|; -inf for zero terms."""
         self._check_index(n)
-        if self.family == CONST:
-            return math.log(self.param) if self.param > 0 else -math.inf
-        if self.family == LIST:
-            v = abs(self.values[n - 1])
+        if self.family in (CONST, LIST):
+            v = abs(self.param if self.family == CONST else self.values[n - 1])
             return math.log(v) if v > 0 else -math.inf
         if self.family == POWFACT:
             return n * math.log(self.param) - math.lgamma(n + 1)
@@ -91,8 +89,8 @@ def from_spec(spec: str) -> SequenceSpec:
             return SequenceSpec(CONST, param=parse_number(rest))
         if head in (POWFACT, FACTPOW):
             r = float(rest)
-            if r <= 0:
-                raise SpecError(f"ratio must be positive in {spec!r}")
+            if not 0 < r < math.inf:  # false for nan too
+                raise SpecError(f"ratio must be finite and positive in {spec!r}")
             return SequenceSpec(head, param=r)
         if head == LIST:
             values = tuple(parse_number(part) for part in rest.split(","))
@@ -155,8 +153,11 @@ def practical_convergence(seq: SequenceSpec, budget: int, window: int = 50,
     practically divergent, strictly falling as practically convergent,
     anything else as inconclusive.  The verdict is a pure function of
     (seq, budget, window, tol) and is expected to flip as budget grows.
-    A window of more than MAX_TERMS terms is refused before any is computed.
+    A window of more than MAX_TERMS terms, and a negative or NaN tol, are
+    refused before any term is computed.
     """
+    if not tol >= 0:  # false for nan too
+        raise ValueError(f"tol must be non-negative, got {tol}")
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
     if window > MAX_TERMS:  # every term and step of the window is held at once

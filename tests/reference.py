@@ -92,3 +92,28 @@ def smallest_witness(violations: list[tuple]) -> tuple | None:
     if not violations:
         return None
     return min(violations, key=lambda t: (max(t), t))
+
+
+def ref_archimedean(fvals: list, kind: str, upper: int) -> tuple:
+    """(m, fixed point) of the least m in 1..upper whose sums stop below upper, or None.
+
+    Each orbit m, m + m, ... is iterated with ref_add until it stops moving,
+    which every orbit does, at the latest at the top.
+    """
+    for m in range(1, upper + 1):
+        s = m
+        while ref_add(fvals, kind, s, m) != s:
+            s = ref_add(fvals, kind, s, m)
+        if s < upper:
+            return m, s
+    return None
+
+
+def ref_least_absorption(fvals: list, kind: str, upper: int) -> tuple | None:
+    """Least (a, b) with a > 0, b < upper and b + a = b, by nested loops.
+
+    Least means smallest max(a, b), then smallest b, then smallest a.
+    """
+    cells = [(b, a) for b in range(upper) for a in range(1, upper + 1) if ref_add(fvals, kind, b, a) == b]
+    least = smallest_witness(cells)
+    return least and least[::-1]

@@ -58,6 +58,10 @@ _CONTRACT = [
     (["series", "sum", "projective:id@int:0:10", "const:0.5"], "", 3, "evaluation error"),
     (["series", "practical", "powfact:1000"], "", 0, ""),
     (["series", "practical", "list:1,2"], "", 1, "usage error"),
+    (["series", "practical", "powfact:nan"], "", 1, "usage error"),
+    (["series", "practical", "powfact:inf"], "", 1, "usage error"),
+    (["series", "practical", "powfact:2", "-K", "4", "--window", "2", "--tol", "-1"], "", 1, "usage error"),
+    (["series", "practical", "factpow:3", "-K", "4", "--window", "2", "--tol", "nan"], "", 1, "usage error"),
     (["validate", "id@int:0:10"], "", 0, ""),
     (["validate", "id@int:0"], "", 1, "usage error"),
     (["validate", "pow:0@int:0:10"], "", 2, "validation error"),
@@ -75,8 +79,9 @@ def _case_ids(cases) -> list[str]:
     """Command, exit code and label of each case; a later case with the same three adds its spec."""
     ids = []
     for argv, _, code, label in cases:
-        case = "-".join(argv[:2] if argv[0] == "series" else argv[:1]) + f"-{code}-{label or 'quiet'}"
-        ids.append(case if case not in ids else f"{case}-{argv[1]}")
+        words = 2 if argv[0] == "series" else 1  # the command, and a series' subcommand
+        case = "-".join(argv[:words]) + f"-{code}-{label or 'quiet'}"
+        ids.append(case if case not in ids else f"{case}-{argv[words]}")
     return ids
 
 
@@ -210,6 +215,26 @@ def test_non_finite_terms_are_evaluation_errors(term, capsys):
     assert cli.main(["series", "sum", "projective:id@int:0:10", f"list:{term}", "-n", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"evaluation error: {float(term)} outside carrier [0, 10]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "practical", "const:0"],  # no finite log-step: NaN statistics
+    ["series", "practical", "list:0,1,0", "-K", "3", "--window", "2"],
+])
+def test_json_output_is_strict_json(argv, capsys):
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    assert cli.main(["--format", "json"] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(isinstance(json.loads(line, parse_constant=no_constant), dict) for line in lines)
+
+
+def test_non_finite_statistics_stay_nan_in_table_and_csv(capsys):
+    assert cli.main(["--format", "csv", "series", "practical", "const:0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",nan,nan,nan")
+    assert cli.main(["series", "practical", "const:0"]) == 0
+    assert "log-step in [nan, nan]" in capsys.readouterr().out
 
 
 def test_undecodable_table_is_a_validation_error(tmp_path, capsys):

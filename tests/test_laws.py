@@ -22,7 +22,7 @@ from nda.laws import (
 from nda.series import arith_partial_sums
 from nda.series import from_spec as seq_from_spec
 
-from reference import f_values, ref_add, ref_mul, smallest_witness
+from reference import f_values, ref_add, ref_archimedean, ref_least_absorption, ref_mul, smallest_witness
 
 
 def arith(spec):
@@ -395,3 +395,78 @@ class TestTheorem:
         report = verify_archimedean_theorem(arith("dual:quad@int:0:200"), 150)
         assert report.archimedean and report.mll_only_zero
         assert report.mll_witness is None
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    ("projective:pow:1.5@int:0:40", "float64"),
+    ("dual:pow:1.5@int:0:40", "float64"),
+    ("projective:pow:2@int:0:40", "int64"),
+    ("dual:pow:2@int:0:40", "int64"),
+    ("projective:id@int:0:40", "int64"),
+    ("dual:quad@int:0:40", "int64"),
+    ("projective:exp2m1@int:0:40", "object"),
+    ("dual:exp2m1@int:0:40", "object"),
+    # f(x) = x up to 12, then 3x^2: 12 + 1 rounds down to 12, so the sums of 1 stop at 12
+    ("projective:table:{path}@int:0:40", "int64"),
+    ("dual:table:{path}@int:0:40", "int64"),
+])
+def test_archimedean_rows_match_reference(spec, dtype, monkeypatch, tmp_path):
+    table = [x if x <= 12 else 3 * x * x for x in range(41)]
+    (tmp_path / "t.tbl").write_text("".join(f"{x} {v}\n" for x, v in enumerate(table)))
+    a = arith(spec.format(path=tmp_path / "t.tbl"))
+    assert a._f_array.dtype == dtype
+    kind, name = spec.split("@")[0].split(":", 1)
+    top = a.carrier.size - 1
+    fvals = table if name.startswith("table") else f_values(name, top + 1)
+    for upper in (1, 2, 17, top - 1, top):
+        stuck = ref_archimedean(fvals, kind, upper)
+        report = check_archimedean(a, upper)
+        assert report.archimedean == (stuck is None)
+        if stuck is None:
+            assert (report.witness, report.fixed_point, report.candidates_checked) == (None, None, upper)
+        else:
+            m, fixed_point = stuck
+            assert (report.witness, report.fixed_point, report.candidates_checked) == ((m, fixed_point + 1),
+                                                                                      fixed_point, m)
+        expected = verify_archimedean_theorem(a, upper)
+        assert expected.mll_witness == ref_least_absorption(fvals, kind, upper)
+        assert expected.status == CONSISTENT and expected.mll_only_zero == report.archimedean
+        for table_cells, rows in ((laws.MAX_TABLE_CELLS, 1), (laws.MAX_TABLE_CELLS, 4), (0, upper + 1)):
+            monkeypatch.setattr(laws, "MAX_TABLE_CELLS", table_cells)  # 0: add computed one leading index a chunk
+            monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1))  # 4 does not divide R + 1 = 18
+            assert verify_archimedean_theorem(a, upper) == expected
+            assert verify_archimedean_theorem(a, upper, report) == expected
+            monkeypatch.undo()
+
+
+def test_theorem_counts_absorption_only_below_the_bound(tmp_path):
+    # f linear up to 5 and jumping at 6: 5 + 1 rounds back to 5, so 1 << 5, and the sums of 1 stop at 5
+    path = tmp_path / "jump.tbl"
+    path.write_text("".join(f"{x} {x if x <= 5 else 100 + x}\n" for x in range(11)))
+    a = arith(f"projective:table:{path}@int:0:10")
+    at_five = verify_archimedean_theorem(a, 5)
+    assert at_five.archimedean and at_five.mll_only_zero and at_five.status == CONSISTENT
+    above = verify_archimedean_theorem(a, 6)
+    assert not above.archimedean and above.mll_witness == (1, 5) and above.status == CONSISTENT
+    assert check_archimedean(a, 6).witness == (1, 6)
+
+
+def test_theorem_scan_memory(monkeypatch):
+    a = arith("projective:pow:1.5@int:0:1000")
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # add computed directly, one leading index a chunk
+    archimedean = check_archimedean(a, 300)  # f's array is memoised before tracing
+    tracemalloc.start()
+    try:
+        verify_archimedean_theorem(a, 300, archimedean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 301 ** 2  # add over the whole square would take 8 * 301 ** 2 bytes
+
+
+def test_archimedean_orbits_stop_at_the_bound(monkeypatch):
+    a, calls = arith("dual:pow:2@int:0:1000"), []
+    add_index = Arithmetic.add_index
+    monkeypatch.setattr(Arithmetic, "add_index", lambda self, i, j: calls.append((i, j)) or add_index(self, i, j))
+    assert check_archimedean(a, 30).archimedean
+    assert len(calls) <= 30 ** 2  # following each orbit to the top takes some 27,000 sums

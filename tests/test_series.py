@@ -51,8 +51,13 @@ class TestSequences:
         assert log10 > 300  # far beyond double range as a plain float
         assert seq.term(1000) == math.inf
 
+    def test_log_term_of_a_negative_term_is_its_magnitude(self):
+        assert from_spec("const:-1").log_term(3) == 0.0
+        assert from_spec("const:-2").log_term(3) == from_spec("list:-2").log_term(1) == math.log(2)
+        assert from_spec("const:0").log_term(3) == -math.inf
+
     def test_bad_specs(self):
-        for spec in ("const:", "powfact:-1", "list:", "geom:2"):
+        for spec in ("const:", "powfact:-1", "list:", "geom:2", "powfact:nan", "powfact:inf", "factpow:nan"):
             with pytest.raises(SpecError):
                 from_spec(spec)
 
@@ -161,3 +166,6 @@ class TestPracticalConvergence:
             practical_convergence(from_spec("const:1"), 10, 1)
         with pytest.raises(ValueError):
             practical_convergence(from_spec("const:1"), 10, 20)
+        for tol in (-1.0, math.nan):  # a negative tol would read falling terms as diverging
+            with pytest.raises(ValueError, match="tol"):
+                practical_convergence(from_spec("powfact:2"), 4, 2, tol)
