@@ -102,6 +102,8 @@ class Carrier:
 
     def index_of(self, v: int | float) -> int:
         """Inverse of value_at; rejects values off the grid beyond tolerance."""
+        if type(v) is int and self.kind == INTEGER_RANGE and 0 <= v < self.size:  # a bool takes the general path
+            return v
         try:
             i = round(v / self.step) if self.kind == REAL_GRID else round(v)
         except TypeError:

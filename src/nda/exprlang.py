@@ -14,11 +14,19 @@ only at the root; '<<' and '<<<' are the absorption relations, '<' is
 plain carrier order.  Literals must already lie on the target carrier;
 nothing is silently snapped.  Parsing and evaluation recurse, so a tree or
 a nesting of parentheses more than MAX_DEPTH deep is a ParseError.
+
+Lexing is one compiled regular expression, _LEXEME, whose last branch takes
+any other non-blank character, which is then an unknown character.
+parse_text parses the lexemes of ``findall`` by their kinds and builds no
+Token: byte offsets are derived, by tokenize, only when an error is raised,
+and tokenize raises an unknown character's LexError before any ParseError.
+Nodes are named tuples and compare as tuples, so ``Literal(1) == (1,)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .arith import Arithmetic
 from .errors import LexError, OffCarrierError, ParseError
@@ -35,39 +43,36 @@ LT = "lt"
 MLL = "mll"
 MLLL = "mlll"
 
-# ASCII only: str.isdigit also takes Unicode digits such as '٣' and '²'
+# ASCII only: [0-9] and not \d, which also takes Unicode digits such as '٣'
+_LEXEME = re.compile(r"[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[-+*()]|[^ \t\r\n]")
 _DIGITS = frozenset("0123456789")
-_SINGLE = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN}
-_DOUBLE = {"==": EQEQ, "!=": NEQ}
+_KINDS = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN, "==": EQEQ, "!=": NEQ,
+          "<": LT, "<<": MLL, "<<<": MLLL}  # any other lexeme is a NUMBER or an unknown character
 _RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
-_BINARY_KINDS = {PLUS: "add", MINUS: "sub", STAR: "mul"}
+_ADDITIVE_KINDS = {PLUS: "add", MINUS: "sub"}
 MAX_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     position: int  # byte offset into the input
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     value: int | float
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # add | sub | mul
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     rel: str  # eq | neq | lt | mll | mlll
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 Node = Literal | Binary | Relation
@@ -79,119 +84,88 @@ def tokenize(text: str) -> list[Token]:
     Only ASCII is consumed and the first other character raises, so a
     character index into text is also its byte offset.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token(NUMBER, text[i:j], i))
-            i = j
-        elif ch == "<":
-            j = i
-            while j < n and j - i < 3 and text[j] == "<":
-                j += 1
-            tokens.append(Token({1: LT, 2: MLL, 3: MLLL}[j - i], text[i:j], i))
-            i = j
-        elif ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, i))
-            i += 1
-        elif (lexeme := text[i:i + 2]) in _DOUBLE:
-            tokens.append(Token(_DOUBLE[lexeme], lexeme, i))
-            i += 2
-        else:
-            raise LexError(f"unknown character {ch!r}", i)
+    tokens = []
+    for match in _LEXEME.finditer(text):
+        lexeme, position = match.group(), match.start()
+        kind = _KINDS.get(lexeme, NUMBER)
+        if kind == NUMBER and lexeme[0] not in _DIGITS:
+            raise LexError(f"unknown character {lexeme!r}", position)
+        tokens.append(Token(kind, lexeme, position))
     return tokens
 
 
+def _lex(text: str) -> tuple[list[str], list[str | None]]:
+    """The lexemes of text and their kinds, then a None past the last; an unknown character is a NUMBER here."""
+    lexemes = _LEXEME.findall(text)
+    kinds = [_KINDS.get(lexeme, NUMBER) for lexeme in lexemes]
+    kinds.append(None)
+    return lexemes, kinds
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.lexemes, self.kinds = _lex(text)
         self.pos = 0
         self.nesting = 0  # open parentheses
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _error(self, message: str) -> ParseError:
-        tok = self._peek()
-        if tok is not None:
+        tokens = tokenize(self.text)  # raises the LexError of an unknown character anywhere in text
+        if self.pos < len(tokens):
+            tok = tokens[self.pos]
             return ParseError(f"{message} before {tok.lexeme!r}", tok.position)
-        end = self.tokens[-1].position + len(self.tokens[-1].lexeme) if self.tokens else 0
+        end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
         return ParseError(f"{message} at end of input", end)
 
     def relation(self) -> Node:
-        left = self.expr()
-        tok = self._peek()
-        if tok is not None and tok.kind in _RELATION_KINDS:
+        node = self.expr()
+        rel = _RELATION_KINDS.get(self.kinds[self.pos])
+        if rel is not None:
             self.pos += 1
-            right = self.expr()
-            node: Node = Relation(_RELATION_KINDS[tok.kind], left, right)
-        else:
-            node = left
-        if self._peek() is not None:
+            node = Relation(rel, node, self.expr())
+        if self.kinds[self.pos] is not None:
             raise self._error("expected end of input")
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in (PLUS, MINUS):
-                return node
+        while (op := _ADDITIVE_KINDS.get(self.kinds[self.pos])) is not None:
             self.pos += 1
-            node = Binary(_BINARY_KINDS[tok.kind], node, self.term())
+            node = Binary(op, node, self.term())
+        return node
 
     def term(self) -> Node:
         node = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != STAR:
-                return node
+        while self.kinds[self.pos] == STAR:
             self.pos += 1
             node = Binary("mul", node, self.factor())
+        return node
 
     def factor(self) -> Node:
-        tok = self._peek()
-        if tok is None:
-            raise self._error("expected a number or '('")
-        if tok.kind == NUMBER:
-            self.pos += 1
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == NUMBER and self.lexemes[pos][0] in _DIGITS:  # else an unknown character, raised by _error
+            lexeme = self.lexemes[pos]
+            self.pos = pos + 1
+            if "." in lexeme:
+                return Literal(float(lexeme))
             try:
-                value = float(tok.lexeme) if "." in tok.lexeme else int(tok.lexeme)
+                return Literal(int(lexeme))
             except ValueError:  # an int past Python's limit on digits converted from a string
-                raise ParseError(f"literal of {len(tok.lexeme)} digits is too long", tok.position) from None
-            return Literal(value)
-        if tok.kind == LPAREN:
+                raise ParseError(f"literal of {len(lexeme)} digits is too long",
+                                 tokenize(self.text)[pos].position) from None
+        if kind == LPAREN:
             if self.nesting == MAX_DEPTH:
                 raise self._error(f"parentheses nested more than {MAX_DEPTH} deep")
-            self.pos += 1
+            self.pos = pos + 1
             self.nesting += 1
             node = self.expr()  # relations are not allowed inside parentheses
             self.nesting -= 1
-            closing = self._peek()
-            if closing is None or closing.kind != RPAREN:
+            if self.kinds[self.pos] != RPAREN:
                 raise self._error("expected ')'")
             self.pos += 1
             return node
         raise self._error("expected a number or '('")
-
-
-def parse(tokens: list[Token]) -> Node:
-    """Tokens -> Ast; raises ParseError with the byte offset of the offending token."""
-    node = _Parser(tokens).relation()
-    if len(tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than tokens
-        raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
-    return node
 
 
 def _depth(node: Node) -> int:
@@ -203,7 +177,12 @@ def _depth(node: Node) -> int:
 
 
 def parse_text(text: str) -> Node:
-    return parse(tokenize(text))
+    """Text -> Ast; raises LexError or ParseError with the byte offset of the offending character or lexeme."""
+    parser = _Parser(text)
+    node = parser.relation()
+    if len(parser.lexemes) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than lexemes
+        raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
+    return node
 
 
 def evaluate(node: Node, arith: Arithmetic):

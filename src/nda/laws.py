@@ -14,8 +14,9 @@ P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
 Distributivity, the 1- and 2-ary laws and the Archimedean theorem's
 absorption cells (add(a, b) == a, its mask inverted) scan [0..R]^arity in
 chunks of the leading index of at most MAX_SCAN_CELLS cells, 9 bytes each
-(two int32 sides and a bool mask), in buffers each scan allocates once.  An
-op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly
+(two int32 sides and a bool mask; 5 where every right side is a bare axis,
+as in the theorem and the neutral laws), in buffers each scan allocates once.
+An op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly
 over each chunk's operands instead, and such a scan takes one leading index
 a chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
 cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity
@@ -223,8 +224,9 @@ def _chunks(arith: Arithmetic, arity: int, equations, extents: dict, n: int):
     """
     budget = n if None in extents.values() else MAX_SCAN_CELLS
     gather, rows = partial(_gather, arith, _tables(arith, extents)), min(n, max(1, budget // n ** (arity - 1)))
-    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk
-    lhs_buffer, rhs_buffer, mask_buffer = np.empty(cells, np.int32), np.empty(cells, np.int32), np.empty(cells, bool)
+    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk; a bare axis on the right needs none
+    lhs_buffer, mask_buffer = np.empty(cells, np.int32), np.empty(cells, bool)
+    rhs_buffer = np.empty(cells, np.int32) if any(isinstance(rhs, tuple) for _, rhs in equations) else None
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
         mask = None

@@ -74,11 +74,18 @@ class SequenceSpec:
 
     @property
     def name(self) -> str:
-        if self.family == CONST:
-            return f"const:{self.param:g}"
+        """The spec from_spec reads back as this sequence."""
         if self.family == LIST:
-            return "list:" + ",".join(f"{v:g}" for v in self.values)
-        return f"{self.family}:{self.param:g}"
+            return "list:" + ",".join(map(_number_text, self.values))
+        return f"{self.family}:{_number_text(self.param)}"
+
+
+def _number_text(v: int | float) -> str:
+    """v in its shortest form that reads back as v: :g where that is exact, else repr."""
+    if isinstance(v, int):
+        return str(v)
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def from_spec(spec: str) -> SequenceSpec:

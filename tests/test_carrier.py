@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nda.carrier import MAX_SIZE, Carrier
+from nda.carrier import INTEGER_RANGE, MAX_SIZE, Carrier
 from nda.errors import (
     CarrierIndexError,
     OffCarrierError,
@@ -105,6 +105,27 @@ class TestIndexOf:
         # round() raises OverflowError on inf (and on an int past float range on a grid), ValueError on nan
         with pytest.raises(OffCarrierError, match="outside carrier"):
             carrier.index_of(v)
+
+
+class _IntSubclass(int):
+    """An int whose type is not int, so index_of takes its general path for it."""
+
+
+def _index_outcome(carrier, v):
+    try:
+        return carrier.index_of(v)
+    except OffCarrierError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("v", [0, 1, 7, 99, 100, 101, 10 ** 6, 10 ** 400, -1, -(10 ** 400), True, False,
+                               0.0, 7.0, 100.0, 101.0, -1.0])
+@pytest.mark.parametrize("carrier", [Carrier.integers(100), Carrier.grid(1.0, 0.01)], ids=["int", "grid"])
+def test_index_of_fast_path_matches_the_general_path(carrier, v):
+    general = _IntSubclass(v) if type(v) is int else v  # floats and bools never take the fast path
+    assert _index_outcome(carrier, v) == _index_outcome(carrier, general)
+    if type(v) is int and carrier.kind == INTEGER_RANGE and 0 <= v <= 100:
+        assert type(carrier.index_of(v)) is int
 
 
 @given(st.integers(min_value=0, max_value=200))

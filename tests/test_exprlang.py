@@ -19,6 +19,7 @@ from nda.exprlang import (
     Binary,
     Literal,
     Relation,
+    _lex,
     evaluate,
     parse_text,
     tokenize,
@@ -90,6 +91,47 @@ def test_depth_bound_is_inclusive():
 def test_relation_inside_parentheses_rejected():
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse_text("(1 == 1)")
+
+
+# Messages and offsets as the character-by-character lexer and Token parser gave them, kept byte for byte
+GOLDEN_ERRORS = [
+    ("", ParseError, "expected a number or '(' at end of input at offset 0", 0),
+    ("1 +", ParseError, "expected a number or '(' at end of input at offset 3", 3),
+    ("(1", ParseError, "expected ')' at end of input at offset 2", 2),
+    ("1 2", ParseError, "expected end of input before '2' at offset 2", 2),
+    ("1.", LexError, "unknown character '.' at offset 1", 1),
+    ("1..2", LexError, "unknown character '.' at offset 1", 1),
+    ("=", LexError, "unknown character '=' at offset 0", 0),
+    ("1 = 2", LexError, "unknown character '=' at offset 2", 2),
+    ("!", LexError, "unknown character '!' at offset 0", 0),
+    (")", ParseError, "expected a number or '(' before ')' at offset 0", 0),
+    ("1 <<<< 2", ParseError, "expected a number or '(' before '<' at offset 5", 5),
+    ("1 == 2 == 3", ParseError, "expected end of input before '==' at offset 7", 7),
+    ("(1 == 1)", ParseError, "expected ')' before '==' at offset 3", 3),
+    ("12 + ٣", LexError, "unknown character '٣' at offset 5", 5),
+    ("7" * 5000, ParseError, "literal of 5000 digits is too long at offset 0", 0),
+    ("(" * 201 + "1" + ")" * 201, ParseError, "parentheses nested more than 200 deep before '(' at offset 200", 200),
+    ("+".join(["1"] * 202), ParseError, "expression more than 200 operators deep at offset 0", 0),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, offset", GOLDEN_ERRORS,
+                         ids=[repr(text) if len(text) < 20 else f"{len(text)} chars" for text, *_ in GOLDEN_ERRORS])
+def test_error_messages_and_offsets_are_golden(text, cls, message, offset, monkeypatch, capsys):
+    with pytest.raises(cls) as exc:
+        parse_text(text)
+    assert (type(exc.value), str(exc.value), exc.value.offset) == (cls, message, offset)
+    monkeypatch.delenv("NDA_FORMAT", raising=False)
+    assert cli.main(["eval", POW2, text]) == 3
+    assert capsys.readouterr() == ("", f"evaluation error: {message}\n")
+
+
+def test_an_unknown_character_is_raised_before_an_earlier_parse_error():
+    # the whole text is lexed before any of it is parsed
+    for text, offset in (("1 2 !", 4), (") ٣", 2), ("(" * 201 + "1 = 1", 203), ("7" * 5000 + " x", 5001)):
+        with pytest.raises(LexError) as exc:
+            parse_text(text)
+        assert exc.value.offset == offset
 
 
 def test_off_carrier_literal_rejected():
@@ -248,6 +290,21 @@ def test_evaluate_matches_the_index_reference():
     # every operator, relation, result type and documented error was met
     assert seen == {int, float, bool, OffCarrierError, CarrierExhaustedError, MultiplicationUnavailableError,
                     *_OP_TEXT, *_REL_TEXT}
+
+
+def test_lexemes_agree_with_tokens():
+    for spec, tree in cross_check_corpus():
+        text = _text(tree)
+        for variant in (text, text.replace(" ", "\t"), text.replace(" ", "\n"), text.replace(" ", " \r\n\t ")):
+            tokens = tokenize(variant)
+            assert _lex(variant) == ([t.lexeme for t in tokens], [t.kind for t in tokens] + [None]), variant
+            assert all(variant.startswith(t.lexeme, t.position) for t in tokens)
+            assert parse_text(variant) == _node(tree), variant
+
+
+def test_nodes_are_tuples():
+    assert Literal(1) == (1,)
+    assert parse_text("1 + 2 < 3") == ("lt", ("add", (1,), (2,)), (3,))
 
 
 def test_expressions_do_not_call_the_value_level_ops(monkeypatch):

@@ -464,6 +464,21 @@ def test_theorem_scan_memory(monkeypatch):
     assert peak < 301 ** 2  # add over the whole square would take 8 * 301 ** 2 bytes
 
 
+def test_theorem_allocates_no_right_side_buffer():
+    a, n = arith("projective:pow:1.5@int:0:10000"), 1001
+    archimedean = check_archimedean(a, n - 1)
+    verify_archimedean_theorem(a, n - 1, archimedean)  # the add table is memoised before tracing
+    tracemalloc.start()
+    try:
+        verify_archimedean_theorem(a, n - 1, archimedean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int32 left side, the gather's int32 row block and the mask: 9 bytes a cell;
+    # an int32 buffer for the bare axis on the right side would make it 13
+    assert peak < 10 * n * n
+
+
 def test_archimedean_orbits_stop_at_the_bound(monkeypatch):
     a, calls = arith("dual:pow:2@int:0:1000"), []
     add_index = Arithmetic.add_index

@@ -61,6 +61,21 @@ class TestSequences:
             with pytest.raises(SpecError):
                 from_spec(spec)
 
+    @pytest.mark.parametrize("spec, name", [
+        ("const:123456.7", "const:123456.7"),
+        ("list:1234567,765432", "list:1234567,765432"),
+        ("list:12345678901234567890,-1000001", "list:12345678901234567890,-1000001"),
+        ("const:0.5", "const:0.5"),
+        ("const:1e-7", "const:1e-07"),
+        ("list:0.5,1e-7,2.0", "list:0.5,1e-07,2"),
+        ("powfact:1000", "powfact:1000"),
+        ("factpow:123456.7", "factpow:123456.7"),
+    ])
+    def test_name_reads_back_as_the_sequence(self, spec, name):
+        seq = from_spec(spec)
+        assert seq.name == name
+        assert from_spec(seq.name) == seq
+
     def test_term_indexing_from_one(self):
         with pytest.raises(ValueError):
             from_spec("const:1").term(0)
