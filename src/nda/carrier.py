@@ -44,7 +44,6 @@ class Carrier:
     """A finite ordered set of values, navigated by index."""
 
     kind: str
-    min: int | float
     max: int | float
     step: int | float
     size: int
@@ -54,7 +53,7 @@ class Carrier:
         """Integer range 0..max_value inclusive, step 1."""
         if max_value != int(max_value) or max_value < 1:
             raise ValidationError(f"integer carrier needs an integer max >= 1, got {max_value}")
-        return cls(INTEGER_RANGE, 0, int(max_value), 1, _bounded(int(max_value) + 1))
+        return cls(INTEGER_RANGE, int(max_value), 1, _bounded(int(max_value) + 1))
 
     @classmethod
     def grid(cls, max_value: float, step: float) -> "Carrier":
@@ -65,7 +64,7 @@ class Carrier:
         steps = round(max_value / step)
         if steps < 1 or abs(steps * step - max_value) > GRID_TOLERANCE * max(1.0, abs(max_value)):
             raise ValidationError(f"grid max {max_value} is not a whole number of steps of {step}")
-        return cls(REAL_GRID, 0.0, max_value, step, steps + 1)
+        return cls(REAL_GRID, max_value, step, steps + 1)
 
     @classmethod
     def from_spec(cls, spec: str) -> "Carrier":

@@ -1,9 +1,11 @@
 """The ``nda`` command line tool.
 
-Subcommands: eval, laws, series, demo, repl, validate.  Output is a human
-table by default; ``--format json`` emits one JSON record per line with
-stable field names, ``--format csv`` a fixed header row plus data rows.
-The NDA_FORMAT environment variable changes the default; flags win.
+Subcommands: eval, laws, series, demo, repl, validate.  Every result is a
+record, printed by one emitter: a human table by default; ``--format json``
+emits one JSON record per line with stable field names, ``--format csv`` a
+header row plus data rows, every CSV record written by the csv module with
+CRLF line ends.  The NDA_FORMAT environment variable changes the default;
+flags win.
 
 Exit codes are a contract: 0 success, 1 usage (also an argument out of
 range, such as a law scan refused for its size, see the laws module),
@@ -143,20 +145,16 @@ def _format_of(args) -> str:
 # record emission
 # ----------------------------------------------------------------------
 
-def _fmt_value(v) -> str:
+def _fmt_cell(v) -> str:
+    if v is None:
+        return "-"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    return str(v)
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return "-"
     if isinstance(v, (tuple, list)):
-        return "(" + ", ".join(_fmt_value(x) for x in v) + ")"
-    return _fmt_value(v)
+        return "(" + ", ".join(map(_fmt_cell, v)) + ")"
+    return str(v)
 
 
 def _json_value(v):
@@ -194,14 +192,9 @@ def _emit_record(record: dict, fmt: str, *lines: str) -> None:
 
 
 def _emit_result(arith: Arithmetic, text: str, fmt: str) -> None:
-    """Evaluate an expression and print its result, for nda eval and the REPL."""
-    result = exprlang.evaluate(exprlang.parse_text(text), arith)
-    if fmt == "json":
-        print(json.dumps({"result": result}))
-        return
-    if fmt == "csv":
-        print("result")
-    print(_fmt_value(result))
+    """Evaluate an expression and emit its result record, for nda eval and the REPL."""
+    value = exprlang.evaluate(exprlang.parse_text(text), arith)
+    _emit_record({"result": value}, fmt, _fmt_cell(value))
 
 
 # ----------------------------------------------------------------------
@@ -257,37 +250,20 @@ def _parse_law_list(text: str) -> list[str]:
     return names
 
 
-def _law_record(report: laws.LawReport) -> dict:
-    return {
-        "law": report.law, "status": report.status, "witness": report.witness,
-        "range": report.range_text, "pairs_checked": report.pairs_checked,
-        "violations": report.violations,
-    }
-
-
-def _archimedean_record(report: laws.ArchimedeanReport) -> dict:
-    return {
-        "law": "archimedean",
-        "status": laws.HOLDS if report.archimedean else laws.FAILS,
-        "witness": report.witness,
-        "range": f"0..{report.upper}",
-        "pairs_checked": report.candidates_checked,
-        "violations": None,
-        "fixed_point": report.fixed_point,
-    }
-
-
-def _theorem_record(report: laws.TheoremReport) -> dict:
-    return {
-        "law": "theorem-archimedean-mll",
-        "status": laws.HOLDS if report.status == laws.CONSISTENT else laws.FAILS,
-        "witness": report.mll_witness,
-        "range": f"0..{report.upper}",
-        "pairs_checked": (report.upper + 1) ** 2,
-        "violations": None,
-        "consistency": report.status,
-        "archimedean": report.archimedean,
-    }
+def _law_record(report: laws.LawReport | laws.ArchimedeanReport | laws.TheoremReport) -> dict:
+    """A row of nda laws: the _LAW_COLUMNS filled from a report, then the report's own keys."""
+    if isinstance(report, laws.ArchimedeanReport):
+        extra = {"fixed_point": report.fixed_point}
+        cells = ("archimedean", laws.HOLDS if report.archimedean else laws.FAILS, report.witness,
+                 report.candidates_checked, None)
+    elif isinstance(report, laws.TheoremReport):
+        extra = {"consistency": report.status, "archimedean": report.archimedean}
+        cells = ("theorem-archimedean-mll", laws.HOLDS if report.status == laws.CONSISTENT else laws.FAILS,
+                 report.mll_witness, report.pairs_checked, None)
+    else:
+        extra, cells = {}, (report.law, report.status, report.witness, report.pairs_checked, report.violations)
+    law, status, witness, checked, violations = cells
+    return dict(zip(_LAW_COLUMNS, (law, status, witness, f"0..{report.upper}", checked, violations)), **extra)
 
 
 def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[dict]:
@@ -299,11 +275,12 @@ def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[
     records = []
     for name in names:
         if name == "archimedean":
-            records.append(_archimedean_record(archimedean()))
+            report = archimedean()
         elif name == "theorem-archimedean-mll":
-            records.append(_theorem_record(laws.verify_archimedean_theorem(arith, upper, archimedean())))
+            report = laws.verify_archimedean_theorem(arith, upper, archimedean())
         else:
-            records.append(_law_record(next(scanned)))
+            report = next(scanned)
+        records.append(_law_record(report))
     return records
 
 
@@ -343,8 +320,8 @@ def _cmd_series_sum(args) -> int:
         "arithmetic": arith.spec, "sequence": seq.name, "terms": args.terms,
         "final_sum": sums[-1], "stationary_at": stationary_at,
     }
-    shown = ", ".join(_fmt_value(s) for s in sums[:10]) + (", ..." if len(sums) > 10 else "")
-    final = _fmt_value(sums[-1])
+    shown = ", ".join(map(_fmt_cell, sums[:10])) + (", ..." if len(sums) > 10 else "")
+    final = _fmt_cell(sums[-1])
     _emit_record(record, _format_of(args), f"partial sums of {seq.name} in {arith.spec}:", f"  sums: {shown}",
                  f"  still moving after {args.terms} terms; final sum {final}" if stationary_at is None
                  else f"  stationary at k={stationary_at}, sum {final}")
@@ -467,6 +444,13 @@ _REPL_HELP = """directives:
 anything else is parsed as an expression and evaluated"""
 
 
+def _range_bound(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"bad range bound {text!r} in :laws (want an integer R)") from None
+
+
 def _cmd_repl(args) -> int:
     current = Arithmetic.from_spec(args.arith) if args.arith else None
     fmt = _format_of(args)
@@ -495,7 +479,7 @@ def _cmd_repl(args) -> int:
             elif line and current is None:
                 raise SpecError("no arithmetic selected; use :arith <spec>")
             elif directive:
-                upper = int(fields[2]) if len(fields) == 3 else None
+                upper = _range_bound(fields[2]) if len(fields) == 3 else None
                 _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt)
             elif line:
                 _emit_result(current, line, fmt)

@@ -238,7 +238,7 @@ def validate(f: FunctionalParameter, carrier: Carrier) -> ValidationReport:
 
 
 def load_table(path: str) -> FunctionalParameter:
-    """Read a table-backed f: two numbers per line, ``#`` comments, strictly increasing."""
+    """Read a table-backed f: two numbers per line, ``#`` comments, strictly increasing, x finite, f not NaN."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.readlines()
@@ -256,6 +256,8 @@ def load_table(path: str) -> FunctionalParameter:
             x, y = (parse_number(field) for field in fields)
         except ValueError:
             raise TableError(f"bad number in {text!r}", lineno) from None
+        if not -math.inf < x < math.inf or y != y:  # f may reach +inf at the top; a NaN defeats the order checks
+            raise TableError(f"carrier values must be finite and f values numbers, got {text!r}", lineno)
         if points:
             if x <= points[-1][0]:
                 raise TableError(f"carrier values must strictly increase ({x} after {points[-1][0]})", lineno)

@@ -67,10 +67,6 @@ class LawReport:
     pairs_checked: int
     violations: int | None = None
 
-    @property
-    def range_text(self) -> str:
-        return f"0..{self.upper}"
-
 
 @dataclass(frozen=True)
 class ArchimedeanReport:
@@ -89,8 +85,8 @@ class TheoremReport:
 
     status: str  # consistent | inconsistent
     archimedean: bool
-    mll_only_zero: bool
     upper: int
+    pairs_checked: int  # the (R+1)^2 cells (a, b) scanned for a << b
     mll_witness: tuple | None = None  # (a, b) with a << b, a > 0 and b < R, if any
 
 
@@ -350,4 +346,4 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int,
     _, cell = _fold(absorbed(_chunks(arith, 2, equations, _extents(arith, equations, upper, 2), n)), n)
     mll_witness = cell and tuple(arith.carrier.value_at(i) for i in cell[::-1])
     status = CONSISTENT if archimedean.archimedean == (cell is None) else INCONSISTENT
-    return TheoremReport(status, archimedean.archimedean, cell is None, upper, mll_witness)
+    return TheoremReport(status, archimedean.archimedean, upper, n * n, mll_witness)

@@ -13,7 +13,7 @@ from nda.errors import (
 class TestConstruction:
     def test_integers(self):
         c = Carrier.integers(100)
-        assert c.min == 0 and c.max == 100 and c.step == 1 and c.size == 101
+        assert c.value_at(0) == 0 and c.max == 100 and c.step == 1 and c.size == 101
 
     def test_grid(self):
         c = Carrier.grid(1.0, 0.001)

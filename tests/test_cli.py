@@ -134,8 +134,8 @@ def test_overlong_literal_is_a_parse_error(capsys):
 def test_archimedean_scan_runs_once_per_audit(spec, monkeypatch, capsys):
     upper = 30
     a = Arithmetic.from_spec(spec)
-    expected = [cli._archimedean_record(laws.check_archimedean(a, upper)),
-                cli._theorem_record(laws.verify_archimedean_theorem(a, upper))]
+    expected = [cli._law_record(laws.check_archimedean(a, upper)),
+                cli._law_record(laws.verify_archimedean_theorem(a, upper))]
     calls = []
     scan = laws.check_archimedean
     monkeypatch.setattr(laws, "check_archimedean", lambda *args: calls.append(args) or scan(*args))
@@ -242,6 +242,35 @@ def test_undecodable_table_is_a_validation_error(tmp_path, capsys):
     path.write_bytes(bytes(range(128, 256)))
     assert cli.main(["validate", f"table:{path}@int:0:10"]) == 2
     assert capsys.readouterr().err.startswith(f"validation error: cannot read table file '{path}'")
+
+
+def test_nan_in_a_table_is_refused_at_its_line(tmp_path, capsys):
+    # a NaN carrier value once passed loading and broke the lookup: "no entry for carrier point 1"
+    path = tmp_path / "t.tbl"
+    path.write_text("0 0\nnan 1\n2 4\n")
+    assert cli.main(["validate", f"table:{path}@int:0:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: line 2: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_repl_names_a_bad_range_bound_and_reads_on(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(":laws assoc-add x\n2+2\n"))
+    assert cli.main(["repl", "projective:pow:1.5@int:0:1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "usage error: bad range bound 'x' in :laws (want an integer R)\n3\n"
+    assert captured.err == ""
+
+
+def test_every_csv_line_ends_in_crlf(monkeypatch, capsys):
+    spec = "projective:pow:1.5@int:0:1000"
+    assert cli.main(["--format", "csv", "eval", spec, "2+2"]) == 0
+    assert capsys.readouterr().out == "result\r\n3\r\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(":format csv\n2+2 == 4\n:laws assoc-add,theorem 12\n"))
+    assert cli.main(["repl", spec]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("result\r\nfalse\r\nlaw,status,") and out.count("\n") == 5
+    assert out.count("\r\n") == out.count("\n")
 
 
 _DEMO_OUTPUT = """\

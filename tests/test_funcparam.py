@@ -224,6 +224,23 @@ class TestLoadTable(object):
             load_table(self._write(tmp_path, "0 0 0\n"))
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("row", ["nan 1", "inf 1", "-inf 1", "1 nan"])
+    def test_non_finite_carrier_value_or_nan_f_names_line(self, tmp_path, row):
+        # a NaN compares False both ways, so it would pass the order checks and break the lookup's bisect
+        with pytest.raises(TableError, match="line 2: ") as exc:
+            load_table(self._write(tmp_path, f"0 0\n{row}\n2 4\n"))
+        assert exc.value.line == 2
+
+    def test_nan_first_row_names_line(self, tmp_path):
+        with pytest.raises(TableError) as exc:
+            load_table(self._write(tmp_path, "# header\nnan 1\n0 0\n"))
+        assert exc.value.line == 2
+
+    def test_infinite_f_value_at_the_top_is_legal(self, tmp_path):
+        f = load_table(self._write(tmp_path, "0 0\n1 1\n2 inf\n"))
+        assert validate(f, Carrier.integers(2)).ok
+        assert f.evaluate(2) == math.inf
+
     def test_comments_and_blanks_allowed(self, tmp_path):
         f = load_table(self._write(tmp_path, "# header\n0 0\n\n1 1  # inline\n2 4\n"))
         assert f.evaluate(2) == 4

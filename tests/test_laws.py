@@ -369,7 +369,6 @@ class TestTheorem:
     def test_non_archimedean_side(self):
         report = verify_archimedean_theorem(arith("projective:pow:2@int:0:200"), 150)
         assert not report.archimedean
-        assert not report.mll_only_zero
         a, b = report.mll_witness
         assert a > 0
         assert evaluate(parse_text(f"{a} << {b}"), Arithmetic.from_spec("projective:pow:2@int:0:200"))
@@ -387,13 +386,12 @@ class TestTheorem:
         # rounding down absorbs below the top: sqrt(1 + 1) = 1.41 gives 1 << 1
         report = verify_archimedean_theorem(arith("projective:pow:2@int:0:10"), 10)
         assert not report.archimedean
-        assert not report.mll_only_zero
         assert report.mll_witness == (1, 1)
         assert report.status == CONSISTENT
 
     def test_archimedean_side(self):
         report = verify_archimedean_theorem(arith("dual:quad@int:0:200"), 150)
-        assert report.archimedean and report.mll_only_zero
+        assert report.archimedean
         assert report.mll_witness is None
 
 
@@ -430,7 +428,8 @@ def test_archimedean_rows_match_reference(spec, dtype, monkeypatch, tmp_path):
                                                                                       fixed_point, m)
         expected = verify_archimedean_theorem(a, upper)
         assert expected.mll_witness == ref_least_absorption(fvals, kind, upper)
-        assert expected.status == CONSISTENT and expected.mll_only_zero == report.archimedean
+        assert expected.status == CONSISTENT and (expected.mll_witness is None) == report.archimedean
+        assert expected.pairs_checked == (upper + 1) ** 2
         for table_cells, rows in ((laws.MAX_TABLE_CELLS, 1), (laws.MAX_TABLE_CELLS, 4), (0, upper + 1)):
             monkeypatch.setattr(laws, "MAX_TABLE_CELLS", table_cells)  # 0: add computed one leading index a chunk
             monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1))  # 4 does not divide R + 1 = 18
@@ -445,7 +444,7 @@ def test_theorem_counts_absorption_only_below_the_bound(tmp_path):
     path.write_text("".join(f"{x} {x if x <= 5 else 100 + x}\n" for x in range(11)))
     a = arith(f"projective:table:{path}@int:0:10")
     at_five = verify_archimedean_theorem(a, 5)
-    assert at_five.archimedean and at_five.mll_only_zero and at_five.status == CONSISTENT
+    assert at_five.archimedean and at_five.mll_witness is None and at_five.status == CONSISTENT
     above = verify_archimedean_theorem(a, 6)
     assert not above.archimedean and above.mll_witness == (1, 5) and above.status == CONSISTENT
     assert check_archimedean(a, 6).witness == (1, 6)
