@@ -12,20 +12,26 @@ Left associativity is semantic: the arithmetics are generally not
 associative, so 1+2+3 means (1+2)+3 and nothing else.  Relations appear
 only at the root; '<<' and '<<<' are the absorption relations, '<' is
 plain carrier order.  Literals must already lie on the target carrier;
-nothing is silently snapped.  Parsing and evaluation recurse, so a tree or
-a nesting of parentheses more than MAX_DEPTH deep is a ParseError.
+nothing is silently snapped.  Evaluation recurses, so a tree more than
+MAX_DEPTH operators deep, or a nesting of parentheses more than MAX_DEPTH
+deep, is a ParseError.
 
 Lexing is one compiled regular expression, _LEXEME, whose last branch takes
 any other non-blank character, which is then an unknown character.
-parse_text parses the lexemes of ``findall`` by their kinds and builds no
-Token: byte offsets are derived, by tokenize, only when an error is raised,
-and tokenize raises an unknown character's LexError before any ParseError.
-Nodes are named tuples and compare as tuples, so ``Literal(1) == (1,)``.
+parse_text is one operator-precedence loop over the lexemes of ``findall``:
+it keeps a list of operands and a list of pending operators, and an
+operator first reduces every pending one of higher or equal precedence, so
+equal precedence folds left.  Relations rank lowest and '(' marks where a
+')' stops reducing.  It builds no Token: only when the loop fails does
+tokenize lex the text again, for byte offsets, and so an unknown character
+anywhere raises its LexError before any ParseError.  Nodes are named tuples
+and compare as tuples, so ``Literal(1) == (1,)``.
 """
 
 from __future__ import annotations
 
 import re
+from operator import length_hint
 from typing import NamedTuple
 
 from .arith import Arithmetic
@@ -44,12 +50,10 @@ MLL = "mll"
 MLLL = "mlll"
 
 # ASCII only: [0-9] and not \d, which also takes Unicode digits such as '٣'
-_LEXEME = re.compile(r"[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[-+*()]|[^ \t\r\n]")
+_LEXEME = re.compile(r"[-+*()]|[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[^ \t\r\n]")
 _DIGITS = frozenset("0123456789")
 _KINDS = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN, "==": EQEQ, "!=": NEQ,
           "<": LT, "<<": MLL, "<<<": MLLL}  # any other lexeme is a NUMBER or an unknown character
-_RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
-_ADDITIVE_KINDS = {PLUS: "add", MINUS: "sub"}
 MAX_DEPTH = 200
 
 
@@ -94,78 +98,23 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _lex(text: str) -> tuple[list[str], list[str | None]]:
-    """The lexemes of text and their kinds, then a None past the last; an unknown character is a NUMBER here."""
-    lexemes = _LEXEME.findall(text)
-    kinds = [_KINDS.get(lexeme, NUMBER) for lexeme in lexemes]
-    kinds.append(None)
-    return lexemes, kinds
+_OPEN = (-1,)  # the pending-operator mark of an open parenthesis, ranked below every operator
+# lexeme -> (precedence, node type, op); relations rank lowest
+_OPERATORS = {"+": (1, Binary, "add"), "-": (1, Binary, "sub"), "*": (2, Binary, "mul"),
+              "==": (0, Relation, "eq"), "!=": (0, Relation, "neq"), "<": (0, Relation, "lt"),
+              "<<": (0, Relation, "mll"), "<<<": (0, Relation, "mlll")}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.lexemes, self.kinds = _lex(text)
-        self.pos = 0
-        self.nesting = 0  # open parentheses
+def _error(text: str, left: int, message: str) -> ParseError:
+    """message before the lexeme that has left lexemes after it, or at the end of input for left == -1.
 
-    def _error(self, message: str) -> ParseError:
-        tokens = tokenize(self.text)  # raises the LexError of an unknown character anywhere in text
-        if self.pos < len(tokens):
-            tok = tokens[self.pos]
-            return ParseError(f"{message} before {tok.lexeme!r}", tok.position)
-        end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
-        return ParseError(f"{message} at end of input", end)
-
-    def relation(self) -> Node:
-        node = self.expr()
-        rel = _RELATION_KINDS.get(self.kinds[self.pos])
-        if rel is not None:
-            self.pos += 1
-            node = Relation(rel, node, self.expr())
-        if self.kinds[self.pos] is not None:
-            raise self._error("expected end of input")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while (op := _ADDITIVE_KINDS.get(self.kinds[self.pos])) is not None:
-            self.pos += 1
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.kinds[self.pos] == STAR:
-            self.pos += 1
-            node = Binary("mul", node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        pos = self.pos
-        kind = self.kinds[pos]
-        if kind == NUMBER and self.lexemes[pos][0] in _DIGITS:  # else an unknown character, raised by _error
-            lexeme = self.lexemes[pos]
-            self.pos = pos + 1
-            if "." in lexeme:
-                return Literal(float(lexeme))
-            try:
-                return Literal(int(lexeme))
-            except ValueError:  # an int past Python's limit on digits converted from a string
-                raise ParseError(f"literal of {len(lexeme)} digits is too long",
-                                 tokenize(self.text)[pos].position) from None
-        if kind == LPAREN:
-            if self.nesting == MAX_DEPTH:
-                raise self._error(f"parentheses nested more than {MAX_DEPTH} deep")
-            self.pos = pos + 1
-            self.nesting += 1
-            node = self.expr()  # relations are not allowed inside parentheses
-            self.nesting -= 1
-            if self.kinds[self.pos] != RPAREN:
-                raise self._error("expected ')'")
-            self.pos += 1
-            return node
-        raise self._error("expected a number or '('")
+    Lexes text again for the offsets, and so raises any unknown character's LexError instead.
+    """
+    tokens = tokenize(text)
+    if left >= 0:
+        return ParseError(f"{message} before {tokens[-1 - left].lexeme!r}", tokens[-1 - left].position)
+    end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
+    return ParseError(f"{message} at end of input", end)
 
 
 def _depth(node: Node) -> int:
@@ -178,9 +127,54 @@ def _depth(node: Node) -> int:
 
 def parse_text(text: str) -> Node:
     """Text -> Ast; raises LexError or ParseError with the byte offset of the offending character or lexeme."""
-    parser = _Parser(text)
-    node = parser.relation()
-    if len(parser.lexemes) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than lexemes
+    lexemes = _LEXEME.findall(text)
+    new = tuple.__new__
+    operands, pending = [], [_OPEN]  # the text is read as if in parentheses
+    push, pop = operands.append, pending.pop
+    nesting = relations = 0
+    want = True  # an operand comes next
+    rest = iter(lexemes)  # length_hint(rest) lexemes follow the one in hand
+    for lexeme in rest:
+        if want:
+            if lexeme[0] in _DIGITS:
+                if "." in lexeme:
+                    push(new(Literal, (float(lexeme),)))
+                else:
+                    try:
+                        push(new(Literal, (int(lexeme),)))
+                    except ValueError:  # an int past Python's limit on digits converted from a string
+                        raise ParseError(f"literal of {len(lexeme)} digits is too long",
+                                         tokenize(text)[-1 - length_hint(rest)].position) from None
+                want = False
+            elif lexeme == "(" and nesting < MAX_DEPTH:
+                nesting += 1
+                pending.append(_OPEN)
+            else:
+                raise _error(text, length_hint(rest), f"parentheses nested more than {MAX_DEPTH} deep"
+                             if lexeme == "(" else "expected a number or '('")
+        elif (op := _OPERATORS.get(lexeme)) is not None and (op[0] or not (nesting or relations)):
+            precedence = op[0]
+            while pending[-1][0] >= precedence:  # equal precedence reduces, so trees fold left
+                top = pop()
+                right = operands.pop()
+                operands[-1] = new(top[1], (top[2], operands[-1], right))
+            relations += not precedence  # a relation only at the root, and only one
+            pending.append(op)
+            want = True
+        elif lexeme == ")" and nesting:
+            while (top := pop()) is not _OPEN:
+                right = operands.pop()
+                operands[-1] = new(top[1], (top[2], operands[-1], right))
+            nesting -= 1
+        else:
+            raise _error(text, length_hint(rest), "expected ')'" if nesting else "expected end of input")
+    if want or nesting:
+        raise _error(text, -1, "expected a number or '('" if want else "expected ')'")
+    while (top := pop()) is not _OPEN:
+        right = operands.pop()
+        operands[-1] = new(top[1], (top[2], operands[-1], right))
+    node = operands[0]
+    if len(lexemes) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than lexemes
         raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
     return node
 

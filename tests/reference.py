@@ -8,7 +8,9 @@ correct, and only ever used on small ranges.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 
 import mpmath
 
@@ -117,3 +119,122 @@ def ref_least_absorption(fvals: list, kind: str, upper: int) -> tuple | None:
     cells = [(b, a) for b in range(upper) for a in range(1, upper + 1) if ref_add(fvals, kind, b, a) == b]
     least = smallest_witness(cells)
     return least and least[::-1]
+
+
+@functools.cache
+def _recursive_descent():
+    """exprlang.parse_text as the recursive-descent parser it once was, unchanged.
+
+    Built on first use: the benchmark imports this module without nda on its path.
+    """
+    from nda.errors import ParseError
+    from nda.exprlang import (_DIGITS, _KINDS, EQEQ, LPAREN, LT, MAX_DEPTH, MINUS, MLL, MLLL, NEQ, NUMBER, PLUS,
+                              RPAREN, STAR, Binary, Literal, Node, Relation, _depth, tokenize)
+
+    _LEXEME = re.compile(r"[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[-+*()]|[^ \t\r\n]")  # its own order of branches
+    _RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
+    _ADDITIVE_KINDS = {PLUS: "add", MINUS: "sub"}
+
+    def _lex(text: str) -> tuple[list[str], list[str | None]]:
+        """The lexemes of text and their kinds, then a None past the last; an unknown character is a NUMBER here."""
+        lexemes = _LEXEME.findall(text)
+        kinds = [_KINDS.get(lexeme, NUMBER) for lexeme in lexemes]
+        kinds.append(None)
+        return lexemes, kinds
+
+    class _Parser:
+        def __init__(self, text: str):
+            self.text = text
+            self.lexemes, self.kinds = _lex(text)
+            self.pos = 0
+            self.nesting = 0  # open parentheses
+
+        def _error(self, message: str) -> ParseError:
+            tokens = tokenize(self.text)  # raises the LexError of an unknown character anywhere in text
+            if self.pos < len(tokens):
+                tok = tokens[self.pos]
+                return ParseError(f"{message} before {tok.lexeme!r}", tok.position)
+            end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
+            return ParseError(f"{message} at end of input", end)
+
+        def relation(self) -> Node:
+            node = self.expr()
+            rel = _RELATION_KINDS.get(self.kinds[self.pos])
+            if rel is not None:
+                self.pos += 1
+                node = Relation(rel, node, self.expr())
+            if self.kinds[self.pos] is not None:
+                raise self._error("expected end of input")
+            return node
+
+        def expr(self) -> Node:
+            node = self.term()
+            while (op := _ADDITIVE_KINDS.get(self.kinds[self.pos])) is not None:
+                self.pos += 1
+                node = Binary(op, node, self.term())
+            return node
+
+        def term(self) -> Node:
+            node = self.factor()
+            while self.kinds[self.pos] == STAR:
+                self.pos += 1
+                node = Binary("mul", node, self.factor())
+            return node
+
+        def factor(self) -> Node:
+            pos = self.pos
+            kind = self.kinds[pos]
+            if kind == NUMBER and self.lexemes[pos][0] in _DIGITS:  # else an unknown character, raised by _error
+                lexeme = self.lexemes[pos]
+                self.pos = pos + 1
+                if "." in lexeme:
+                    return Literal(float(lexeme))
+                try:
+                    return Literal(int(lexeme))
+                except ValueError:  # an int past Python's limit on digits converted from a string
+                    raise ParseError(f"literal of {len(lexeme)} digits is too long",
+                                     tokenize(self.text)[pos].position) from None
+            if kind == LPAREN:
+                if self.nesting == MAX_DEPTH:
+                    raise self._error(f"parentheses nested more than {MAX_DEPTH} deep")
+                self.pos = pos + 1
+                self.nesting += 1
+                node = self.expr()  # relations are not allowed inside parentheses
+                self.nesting -= 1
+                if self.kinds[self.pos] != RPAREN:
+                    raise self._error("expected ')'")
+                self.pos += 1
+                return node
+            raise self._error("expected a number or '('")
+
+    def parse_text(text: str) -> Node:
+        """Text -> Ast; raises LexError or ParseError with the byte offset of the offending character or lexeme."""
+        parser = _Parser(text)
+        node = parser.relation()
+        if len(parser.lexemes) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # a tree has fewer operators than lexemes
+            raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
+        return node
+
+    return parse_text
+
+
+def reference_parse(text: str):
+    """exprlang.parse_text by the recursive-descent parser: a node, or the same LexError or ParseError."""
+    return _recursive_descent()(text)
+
+
+def ref_partial_sums(arith, seq, n: int) -> tuple[list, int | None]:
+    """series.arith_partial_sums by a naive fold: each term located and added in turn.
+
+    So the first error raised is that of the first term that fails, and every
+    term is added, however long the sum has stood still.  stationary_at is
+    found by checking each k against every later sum.
+    """
+    carrier = arith.carrier
+    acc = carrier.index_of(seq.term(1))
+    sums = [carrier.value_at(acc)]
+    for k in range(2, n + 1):
+        acc = arith.add_index(acc, carrier.index_of(seq.term(k)))
+        sums.append(carrier.value_at(acc))
+    least = next(k for k in range(1, n + 1) if all(s == sums[-1] for s in sums[k - 1:]))
+    return sums, (least if least < n else None)

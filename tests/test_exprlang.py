@@ -13,19 +13,20 @@ from nda.errors import (
 )
 from nda.exprlang import (
     LT,
+    MAX_DEPTH,
     MLL,
     MLLL,
     NUMBER,
     Binary,
     Literal,
     Relation,
-    _lex,
+    _LEXEME,
     evaluate,
     parse_text,
     tokenize,
 )
 
-from reference import atanh_values, ceil_index, f_values, floor_index, ref_sub
+from reference import atanh_values, ceil_index, f_values, floor_index, ref_sub, reference_parse
 
 POW2 = "projective:pow:2@int:0:100"
 
@@ -292,14 +293,98 @@ def test_evaluate_matches_the_index_reference():
                     *_OP_TEXT, *_REL_TEXT}
 
 
+def _whitespace_variants(text: str) -> tuple[str, ...]:
+    return text, text.replace(" ", "\t"), text.replace(" ", "\n"), text.replace(" ", " \r\n\t ")
+
+
 def test_lexemes_agree_with_tokens():
     for spec, tree in cross_check_corpus():
-        text = _text(tree)
-        for variant in (text, text.replace(" ", "\t"), text.replace(" ", "\n"), text.replace(" ", " \r\n\t ")):
+        for variant in _whitespace_variants(_text(tree)):
             tokens = tokenize(variant)
-            assert _lex(variant) == ([t.lexeme for t in tokens], [t.kind for t in tokens] + [None]), variant
+            assert _LEXEME.findall(variant) == [t.lexeme for t in tokens], variant
             assert all(variant.startswith(t.lexeme, t.position) for t in tokens)
             assert parse_text(variant) == _node(tree), variant
+
+
+# ----------------------------------------------------------------------
+# parse_text against the recursive-descent reference parser
+# ----------------------------------------------------------------------
+
+_STRAYS = ["x", "=", "!", ".", "_", "٣", "²", "é", "\u00a0"]
+
+
+def _mutant(rng: random.Random, lexemes: list[str]) -> str:
+    """A valid expression's lexemes after one random edit, joined mostly by spaces and sometimes by nothing."""
+    lexemes = list(lexemes)
+    at = rng.randrange(len(lexemes) + 1)
+    edit = rng.randrange(8)
+    if edit == 0 and len(lexemes) > 1:  # a token dropped
+        del lexemes[min(at, len(lexemes) - 1)]
+    elif edit == 1 and lexemes:  # a token duplicated
+        lexemes.insert(at, lexemes[min(at, len(lexemes) - 1)])
+    elif edit == 2 and len(lexemes) > 1:  # two tokens swapped
+        i, j = rng.sample(range(len(lexemes)), 2)
+        lexemes[i], lexemes[j] = lexemes[j], lexemes[i]
+    elif edit == 3:  # an unbalanced parenthesis
+        lexemes.insert(at, rng.choice("()"))
+    elif edit == 4:  # a stray relation
+        lexemes.insert(at, rng.choice(list(_REL_TEXT.values())))
+    elif edit == 5:  # a relation doubled, or a second one, before a relation if there is one
+        rel = rng.choice(list(_REL_TEXT.values()))
+        i = rng.choice([i for i, lexeme in enumerate(lexemes) if lexeme in _REL_TEXT.values()] or [at])
+        lexemes[i:i] = rng.choice([[rel, rel], [rel, "1"]])
+    elif edit == 6:  # an unknown character, alone or stuck to a number
+        lexemes.insert(at, rng.choice(_STRAYS))
+    else:  # a parenthesised copy, with a relation inside it half the time
+        inner = [*lexemes[at:], *rng.choice([[], ["==", "1"]])]
+        lexemes[at:] = ["(", *inner, ")"]
+    return ("" if rng.random() < 0.15 else " ").join(lexemes)
+
+
+def _bound_cases() -> list[str]:
+    """Nestings and operator chains around MAX_DEPTH, alone, unbalanced, under a relation and with a stray."""
+    cases = []
+    for n in range(MAX_DEPTH - 3, MAX_DEPTH + 4):
+        for close in (n - 1, n, n + 1):
+            cases += ["(" * n + "1" + ")" * close, "1+(" * n + "1" + ")" * close, "(1*" * n + "1" + ")" * close]
+        chain = "+".join(["1"] * (n + 1))
+        cases += [chain, "-".join(["2"] * (n + 1)), "*".join(["1"] * (n + 1)), "1*2+" * n + "1", "1 == " + chain,
+                  chain + " < 1", chain + " 1", chain + " +", chain + " x", "(" * n + "1 == 1" + ")" * n,
+                  "(" * n + "1" + ")" * n + " == " + "(" * n + "1" + ")" * n, "(" * n + "1 )" + "=" + ")" * n,
+                  "(" * n + "1" + ")" * n + ")", "(" * n + ")" * n, "(" * n + "٣" + ")" * n]
+    return cases + ["7" * 5000, "1 + " + "7" * 5000, "(" + "7" * 5000 + " == 1", "7" * 5000 + " x"]
+
+
+def _parse_outcome(parse, text: str):
+    """A tree's repr, which tells 1 from 1.0, or an error's class, message and offset."""
+    try:
+        return repr(parse(text))
+    except (LexError, ParseError) as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def test_parse_text_matches_the_recursive_descent_reference():
+    rng = random.Random(18)
+    texts = list(_bound_cases())
+    for _, tree in cross_check_corpus():
+        text = _text(tree)
+        texts += _whitespace_variants(text)
+        lexemes = _LEXEME.findall(text)
+        texts += [_mutant(rng, lexemes) for _ in range(7)]
+    assert len(texts) >= 20_000
+    stems = ("expected a number or '('", "expected ')'", "expected end of input", "parentheses nested more than",
+             "expression more than", "literal of")
+    seen = set()
+    for text in texts:
+        outcome = _parse_outcome(parse_text, text)
+        assert outcome == _parse_outcome(reference_parse, text), text
+        if isinstance(outcome, str):
+            seen.add("node")
+        else:
+            seen.add(outcome[0])
+            seen.update(stem for stem in stems if outcome[1].startswith(stem))
+    # a tree, a LexError and every ParseError message were met
+    assert seen == {"node", LexError, ParseError, *stems}
 
 
 def test_nodes_are_tuples():

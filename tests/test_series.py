@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from nda.series import (
     from_spec,
     practical_convergence,
 )
+
+from reference import ref_partial_sums
 
 
 class TestSequences:
@@ -134,6 +137,73 @@ class TestArithPartialSums:
         fixed = sums[stationary - 1]
         for k in range(stationary + 1, 5):
             assert a.add(fixed, seq.term(k)) == fixed
+
+
+def _fold_outcome(fold, arith, seq, n):
+    """(sums, stationary_at), or the class and message of the error raised."""
+    try:
+        return fold(arith, seq, n)
+    except (OffCarrierError, CarrierExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+FOLD_SPECS = ["projective:exp2m1@int:0:100", "projective:pow:2@int:0:100", "dual:pow:2@int:0:100", "dual:id@int:0:10",
+              "projective:atanh:1@grid:0:1:0.01", "projective:pow:2@grid:0:1:0.01", "dual:pow:2@grid:0:1:0.01",
+              "dual:atanh:1@grid:0:1:0.01"]
+
+
+def _random_folds(rng: random.Random, spec: str, count: int) -> list[tuple[str, int]]:
+    """(sequence spec, n): mostly small carrier terms, now and then one off the carrier."""
+    grid = "@grid" in spec
+    top = 100 if grid or spec.endswith(":100") else 10
+    folds = []
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 40)):
+            i = int(top * rng.random() ** 3)
+            terms.append(f"{i / 100:.2f}" if grid else str(i))
+            if rng.random() < 0.02:
+                terms[-1] = rng.choice(["0.005", "1.5"] if grid else ["0.5", "101"])
+        folds.append(("list:" + ",".join(terms), len(terms)))
+    return folds
+
+
+class TestPartialSumsMatchTheNaiveFold:
+    """sums, stationary_at and the first error's class and message, as a term-by-term fold gives them."""
+
+    NAMED = [
+        ("projective:exp2m1@int:0:100", "const:1", 50),  # stationary from the first term
+        ("projective:exp2m1@int:0:100", "list:1,2,2,2,2", 5),  # stationary from the second
+        ("projective:id@int:0:1000", "const:1", 200),  # moving to the end
+        ("projective:exp2m1@int:0:100", "list:1,1,1,1,0.5", 5),  # stationary, then an off-carrier term
+        ("dual:pow:2@int:0:100", "list:50,50,50,50,0.5", 5),  # out of carrier before a later off-carrier term
+        ("dual:id@int:0:10", "const:3", 10),  # out of carrier
+        ("projective:id@int:0:100", "list:0.5", 1),  # the first term off the carrier
+        ("projective:pow:2@grid:0:1:0.01", "const:0.1", 40),  # stationary on a grid
+        ("dual:pow:2@grid:0:1:0.01", "const:0.1", 40),  # moving on a grid
+        ("dual:atanh:1@grid:0:1:0.01", "const:0.25", 20),  # stuck at the top, where f is infinite
+        ("projective:atanh:1@grid:0:1:0.01", "list:0.5,0.5,0.005,0.5", 4),  # off the grid
+    ]
+
+    @pytest.mark.parametrize("spec, seq, n", NAMED)
+    def test_named_folds(self, spec, seq, n):
+        arith = Arithmetic.from_spec(spec)
+        expected = _fold_outcome(ref_partial_sums, arith, from_spec(seq), n)
+        assert _fold_outcome(arith_partial_sums, arith, from_spec(seq), n) == expected
+
+    def test_seeded_folds(self):
+        rng = random.Random(20010810)
+        seen = set()
+        for spec in FOLD_SPECS:
+            arith = Arithmetic.from_spec(spec)
+            for seq, n in _random_folds(rng, spec, 40):
+                expected = _fold_outcome(ref_partial_sums, arith, from_spec(seq), n)
+                assert _fold_outcome(arith_partial_sums, arith, from_spec(seq), n) == expected, (spec, seq)
+                seen.add((spec.partition(":")[0], expected[0] if isinstance(expected[0], type) else
+                          "moving" if expected[1] is None else "stationary"))
+        # every kind met a stationary fold, a moving fold and an off-carrier term; the dual kind ran out of carrier
+        assert seen == {(kind, outcome) for kind in ("projective", "dual")
+                        for outcome in ("stationary", "moving", OffCarrierError)} | {("dual", CarrierExhaustedError)}
 
 
 class TestPracticalConvergence:
