@@ -12,10 +12,15 @@ two kinds differing only in how the backwards step rounds onto the carrier:
   law scans use.
 
 No numeric inverse of f is ever computed: the memoised f values form a
-strictly increasing array and every operation is a binary search over it.
-Single operations bisect the Python list; whole tables of operations
-(``index_table``) run one ``np.searchsorted`` over an array of the same
-values, held in float64 or int64 only where that is exact; ``op_table``
+strictly increasing array and every operation is a search over it, decided
+by exact comparisons.  Single operations bisect the Python list; whole
+tables of operations (``index_table``) run one ``np.searchsorted`` over an
+array of the same values where float64 or int64 holds every value and
+target exactly.  Over exact Python numbers (ints past int64, or ints mixed
+with floats) a float64 log2 key of each target only ranks a candidate
+index: exact comparisons with f there and at its neighbour confirm it or
+move it one index, twice at most, and the cells still unbracketed go to
+the exact ``np.searchsorted``, so float64 never decides a cell.  ``op_table``
 memoises one such table per operation over a square of leading indices,
 built as its upper triangle in row blocks, each mirrored into the lower
 triangle: f(i) + f(j) and f(i) * f(j) commute in float64, int64 and exact
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from math import isinf
+from math import inf, isinf, log2
 
 import numpy as np
 
@@ -109,12 +114,50 @@ class Arithmetic:
             return np.array(fv, dtype=np.int64)
         return np.array(fv, dtype=object)
 
+    @cached_property
+    def _f_log2(self) -> np.ndarray:
+        # float64 keys that rank an object search's candidates, built on its first table
+        return np.array([log2(v) if v else -inf for v in self._fvals])
+
+    def _search(self, fv: np.ndarray, target) -> np.ndarray:
+        if self.kind == PROJECTIVE:
+            return np.searchsorted(fv, target, side="right") - 1
+        return np.minimum(np.searchsorted(fv, target, side="left"), len(fv) - 1)
+
+    def _settle(self, fv: np.ndarray, target: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The exact _search of object targets, starting from candidate indices k.
+
+        Each pass compares a cell's target exactly with f at k and at its
+        neighbour and moves k one index where the pair does not bracket it.
+        Cells left unbracketed after two moves fall back to _search.
+        """
+        top, shape = len(fv) - 1, np.shape(target)
+        t, k = np.ravel(target), np.ravel(k)
+        j, cells = k, np.arange(k.size)
+        for moves in range(3):
+            if self.kind == PROJECTIVE:  # fv[j] <= t < fv[j + 1]
+                down = fv[j] > t
+                up = (j < top) & (fv[np.minimum(j + 1, top)] <= t)
+            else:  # fv[j - 1] < t <= fv[j], or j the top
+                up = (j < top) & (fv[j] < t)
+                down = (j > 0) & (fv[np.maximum(j - 1, 0)] >= t)
+            moved = up | down
+            if not moved.any():
+                break
+            cells, t = cells[moved], t[moved]
+            j = self._search(fv, t) if moves == 2 else j[moved] + up[moved] - down[moved]
+            k[cells] = j
+        return k.reshape(shape)
+
     def index_table(self, op: str, rows, cols) -> np.ndarray:
         """Array form of add_index / mul_index (op "add" / "mul") over broadcastable index arrays.
 
         Where a dual target passes f(top), the cell is clamped to the top
         instead of raising: this is the finite-window view that law scans use,
-        so every cell of a table is defined.
+        so every cell of a table is defined.  Over float64 and int64 values
+        each cell is one np.searchsorted; over exact Python numbers a float64
+        log2 key of each target picks a candidate index that _settle confirms
+        or moves by exact comparisons, so float64 only ranks candidates.
         """
         if op == "mul":
             self._require_mul()
@@ -122,14 +165,17 @@ class Arithmetic:
         x, y = fv[rows], fv[cols]
         if op == "add":
             target = x + y
-        else:
+        elif self._fvals[-1] == inf:
             with np.errstate(invalid="ignore"):  # inf * 0 is masked to 0 below
                 target = np.where((x == 0) | (y == 0), 0, x * y)
-        if self.kind == PROJECTIVE:
-            out = np.searchsorted(fv, target, side="right") - 1
         else:
-            out = np.minimum(np.searchsorted(fv, target, side="left"), len(fv) - 1)
-        return out.astype(np.int32)  # half the memory of intp in gathered law scans
+            target = x * y
+        if fv.dtype != object:
+            return self._search(fv, target).astype(np.int32)  # half the memory of intp in gathered law scans
+        lx, ly = self._f_log2[rows], self._f_log2[cols]
+        with np.errstate(invalid="ignore"):  # log2 0 + log2 inf is NaN: its cell, masked to 0, is searched exactly
+            key = np.logaddexp2(lx, ly) if op == "add" else lx + ly
+        return self._settle(fv, target, self._search(self._f_log2, key)).astype(np.int32)
 
     def op_table(self, op: str, extent: int) -> np.ndarray:
         """index_table of op over [0..extent]^2, memoised; rebuilt only for a larger extent."""

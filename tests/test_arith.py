@@ -304,6 +304,46 @@ class TestIndexTable:
         a = arith(f"{kind}:table:{path}@int:0:6")
         assert_index_table_exact(a, ("add", "mul"))
 
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 1] + [10 ** 30 + k for k in range(60)], object),  # every float log2 key past index 1 is equal
+        ([0, 1] + [2 ** 60 + k for k in range(60)], object),  # distinct ints that share one float64
+        ([0, 1] + [2 ** 62 + k for k in range(60)], object),  # the same with sums past int64 too
+        # ints and floats mixed, past 2^53 and up to f(top) = inf, where products of 0 are masked
+        ([0, 1, 2.5, 4, 7.25, 11, 2 ** 53 + 1, 2.0 ** 54, 2 ** 54 + 1, 2 ** 70 + 3, 1e30, 10 ** 31 + 1,
+          1e300, float("inf")], object),
+        ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], np.float64),  # the same mask in float64
+    ], ids=["log2-collisions", "float64-collisions", "float64-collisions-past-int64", "mixed-to-inf",
+            "floats-to-inf"])
+    def test_adversarial_tables(self, tmp_path, kind, values, dtype):
+        """Targets whose float64 log2 keys tie or mislead still land on the exact index."""
+        path = tmp_path / "f.txt"
+        path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values)))
+        a = arith(f"{kind}:table:{path}@int:0:{len(values) - 1}")
+        assert a._f_array.dtype == dtype
+        assert_index_table_exact(a, ("add", "mul"))
+
+    def test_dual_exp2m1_past_600(self):
+        assert_index_table_exact(arith("dual:exp2m1@int:0:600"), ("add", "mul"))
+
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    def test_collision_table_reaches_the_exact_search(self, tmp_path, kind, monkeypatch):
+        """Cells that the float64 keys cannot rank go to one exact search, not one index a pass."""
+        path = tmp_path / "f.txt"
+        path.write_text("".join(f"{i} {v}\n" for i, v in enumerate([0, 1] + [10 ** 30 + k for k in range(60)])))
+        a = arith(f"{kind}:table:{path}@int:0:61")
+        searched, search = [], Arithmetic._search
+        monkeypatch.setattr(Arithmetic, "_search", lambda self, fv, target: (
+            searched.append((fv.dtype, np.size(target))), search(self, fv, target))[1])
+        idx = np.arange(62)
+        for op in ("add", "mul"):
+            searched.clear()
+            table = a.index_table(op, idx[:, None], idx[None, :])
+            # the float64 ranking over every cell, then one exact search over those it left: f(1) + f(i)
+            # is f(i + 1), up to 59 indices from the candidate that the tied keys give
+            assert [dtype for dtype, _ in searched] == [np.float64, object]
+            assert 0 < searched[1][1] < table.size
+
 
 class TestLightspeed:
     def test_half_plus_half_exact_on_grid(self):
