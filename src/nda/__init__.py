@@ -23,9 +23,7 @@ from .errors import (
 )
 from .funcparam import FunctionalParameter, ValidationReport, load_table, validate
 from .laws import (
-    ArchimedeanReport,
     LawReport,
-    TheoremReport,
     check_archimedean,
     check_law,
     check_laws,
@@ -43,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arithmetic", "Carrier", "FunctionalParameter", "ValidationReport",
     "PROJECTIVE", "DUAL",
-    "LawReport", "ArchimedeanReport", "TheoremReport",
+    "LawReport",
     "check_law", "check_laws", "check_archimedean", "verify_archimedean_theorem",
     "SequenceSpec", "ConvergenceVerdict", "arith_partial_sums", "practical_convergence",
     "load_table", "validate",

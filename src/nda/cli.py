@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from functools import cache
 
 from . import exprlang, funcparam, laws, series
 from .arith import DUAL, PROJECTIVE, Arithmetic
@@ -35,7 +34,6 @@ from .errors import NdaError, SpecError, ValidationError
 
 FORMATS = ("table", "json", "csv")
 
-LAW_CHOICES = laws.ALL_LAWS + ("archimedean", "theorem-archimedean-mll")
 _LAW_ALIASES = {"dist": "distributivity", "theorem": "theorem-archimedean-mll", "arch": "archimedean"}
 
 _LAW_COLUMNS = ("law", "status", "witness", "range", "pairs_checked", "violations")
@@ -239,49 +237,23 @@ def _cmd_validate(args) -> int:
 
 def _parse_law_list(text: str) -> list[str]:
     if text.strip() == "all":
-        return list(LAW_CHOICES)
-    names = []
-    for raw in text.split(","):
-        name = raw.strip()
-        name = _LAW_ALIASES.get(name, name)
-        if name not in LAW_CHOICES:
-            raise SpecError(f"unknown law {name!r}; choose from {', '.join(LAW_CHOICES)} or 'all'")
-        names.append(name)
+        return list(laws.LAW_NAMES)
+    names = [_LAW_ALIASES.get(raw.strip(), raw.strip()) for raw in text.split(",")]
+    if unknown := [name for name in names if name not in laws.LAW_NAMES]:
+        raise SpecError(f"unknown law {unknown[0]!r}; choose from {', '.join(laws.LAW_NAMES)} or 'all'")
     return names
 
 
-def _law_record(report: laws.LawReport | laws.ArchimedeanReport | laws.TheoremReport) -> dict:
-    """A row of nda laws: the _LAW_COLUMNS filled from a report, then the report's own keys."""
-    if isinstance(report, laws.ArchimedeanReport):
-        extra = {"fixed_point": report.fixed_point}
-        cells = ("archimedean", laws.HOLDS if report.archimedean else laws.FAILS, report.witness,
-                 report.candidates_checked, None)
-    elif isinstance(report, laws.TheoremReport):
-        extra = {"consistency": report.status, "archimedean": report.archimedean}
-        cells = ("theorem-archimedean-mll", laws.HOLDS if report.status == laws.CONSISTENT else laws.FAILS,
-                 report.mll_witness, report.pairs_checked, None)
-    else:
-        extra, cells = {}, (report.law, report.status, report.witness, report.pairs_checked, report.violations)
-    law, status, witness, checked, violations = cells
-    return dict(zip(_LAW_COLUMNS, (law, status, witness, f"0..{report.upper}", checked, violations)), **extra)
+def _law_record(report: laws.LawReport) -> dict:
+    """A row of nda laws: the _LAW_COLUMNS filled from a report, then its details."""
+    cells = (report.law, report.status, report.witness, f"0..{report.upper}", report.pairs_checked, report.violations)
+    return dict(zip(_LAW_COLUMNS, cells), **dict(report.details))
 
 
 def _law_records(arith: Arithmetic, check_text: str, upper: int | None) -> list[dict]:
     if upper is None:
         upper = min(100, arith.carrier.size - 1)
-    names = _parse_law_list(check_text)
-    scanned = iter(laws.check_laws(arith, [name for name in names if name in laws.ALL_LAWS], upper))
-    archimedean = cache(lambda: laws.check_archimedean(arith, upper))  # one scan serves both records
-    records = []
-    for name in names:
-        if name == "archimedean":
-            report = archimedean()
-        elif name == "theorem-archimedean-mll":
-            report = laws.verify_archimedean_theorem(arith, upper, archimedean())
-        else:
-            report = next(scanned)
-        records.append(_law_record(report))
-    return records
+    return [_law_record(report) for report in laws.check_laws(arith, _parse_law_list(check_text), upper)]
 
 
 def _cmd_laws(args) -> int:

@@ -26,7 +26,8 @@ most min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while
 the cube passes MAX_SCAN_CELLS.  Reports give holds / fails /
 not-applicable, the exact violation count and the smallest counterexample:
 least largest component, then lexicographic, which is the first violation in
-C order of the least cube [0..k]^arity that holds one.
+C order of the least cube [0..k]^arity that holds one.  check_laws also reports
+the archimedean and theorem-archimedean-mll rows, their extra fields as details.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -66,28 +67,7 @@ class LawReport:
     upper: int  # R: highest carrier index scanned
     pairs_checked: int
     violations: int | None = None
-
-
-@dataclass(frozen=True)
-class ArchimedeanReport:
-    """Whether the repeated sums of every 1 <= m <= R eventually reach every n <= R."""
-
-    archimedean: bool
-    upper: int
-    witness: tuple | None = None  # (m, n) with the sums of m stuck below n
-    fixed_point: int | float | None = None
-    candidates_checked: int = 0
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """Machine check of: Archimedean  <=>  (a << b always implies a = 0)."""
-
-    status: str  # consistent | inconsistent
-    archimedean: bool
-    upper: int
-    pairs_checked: int  # the (R+1)^2 cells (a, b) scanned for a << b
-    mll_witness: tuple | None = None  # (a, b) with a << b, a > 0 and b < R, if any
+    details: tuple = ()  # (name, value) pairs a row carries after its columns
 
 
 def _check_upper(arith: Arithmetic, upper: int) -> None:
@@ -187,6 +167,7 @@ _LAWS = {
     "neutral-one": (1, True, [(("mul", "a", 1), "a"), (("mul", 1, "a"), "a")]),
 }
 ALL_LAWS = tuple(_LAWS)
+LAW_NAMES = ALL_LAWS + ("archimedean", "theorem-archimedean-mll")  # every row check_laws reports
 _TRANSPOSED = {"assoc-add": "add", "assoc-mul": "mul"}  # laws scanned in tiles, and their op
 
 
@@ -290,28 +271,37 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
 
 
 def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
-    """check_law of each name in order, each op table built once, at the largest extent any law needs.
+    """The report of each of LAW_NAMES in names, in order, each op table built once, at the largest extent needed.
 
-    Every law is validated, and an oversize scan refused, before any table
-    is built.  Each scan allocates its own chunk buffers, so nothing outlives
-    the call but the memoised op tables.
+    Every name is validated, and an oversize scan refused, before any table is
+    built.  The Archimedean search runs at most once.  Each scan allocates its
+    own chunk buffers, so nothing outlives the call but the memoised op tables.
     """
+    if unknown := [name for name in names if name not in LAW_NAMES]:
+        raise ValueError(f"unknown law {unknown[0]!r}; choose from {', '.join(LAW_NAMES)}")
     extents = {}
     for law in names:
-        plan = _plan(arith, law, upper)  # None where the law is not applicable
+        plan = _plan(arith, law, upper) if law in _LAWS else None  # None for an Archimedean row, or not applicable
         for op, extent in (plan[2] if plan else {}).items():
             if extent is not None:
                 extents[op] = max(extents.get(op, 0), extent)
     _tables(arith, extents)
-    return [check_law(arith, law, upper) for law in names]
+    reports, archimedean = [], None
+    for law in names:
+        if law in _LAWS:
+            reports.append(check_law(arith, law, upper))
+            continue
+        archimedean = archimedean or check_archimedean(arith, upper)  # passed to the theorem, not searched in it
+        reports.append(archimedean if law == "archimedean" else verify_archimedean_theorem(arith, upper, archimedean))
+    return reports
 
 
-def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
+def check_archimedean(arith: Arithmetic, upper: int) -> LawReport:
     """Search for m whose repeated sums get stuck below some n <= R.
 
-    Only a fixed point below R is a witness, n being the fixed point + 1; the
-    saturated top is none, as its sums may have kept growing on a larger
-    carrier.  Sums never fall, so an orbit is followed only while below R.
+    Only a fixed point below R (the report's detail) gives a witness (m, n),
+    n = the fixed point + 1; the saturated top is none, as its sums may have
+    kept growing on a larger carrier.  Sums never fall: orbits stop at R.
     """
     _check_upper(arith, upper)
     value = arith.carrier.value_at
@@ -320,18 +310,19 @@ def check_archimedean(arith: Arithmetic, upper: int) -> ArchimedeanReport:
         while s < upper:  # at most R - m sums; a dual sum past the window stops at the top
             nxt = _clamped(arith, "add", s, mi)
             if nxt == s:
-                return ArchimedeanReport(False, upper, (value(mi), value(s + 1)), value(s), candidates_checked=mi)
+                return LawReport("archimedean", FAILS, (value(mi), value(s + 1)), upper, mi, None,
+                                 (("fixed_point", value(s)),))
             s = nxt
-    return ArchimedeanReport(True, upper, candidates_checked=upper)
+    return LawReport("archimedean", HOLDS, None, upper, upper, None, (("fixed_point", None),))
 
 
-def verify_archimedean_theorem(arith: Arithmetic, upper: int,
-                               archimedean: ArchimedeanReport | None = None) -> TheoremReport:
+def verify_archimedean_theorem(arith: Arithmetic, upper: int, archimedean: LawReport | None = None) -> LawReport:
     """Check Archimedean <=> (a << b only for a = 0), both sides computed.
 
     archimedean is check_archimedean(arith, upper) where the caller has it
     already; it is computed here otherwise.  a << b counts only where b < R,
-    as only a fixed point below R is an Archimedean witness.
+    as only a fixed point below R is an Archimedean witness.  Holds where the
+    sides agree; the witness is the least (a, b) with a << b and a > 0.
     """
     _check_upper(arith, upper)
     if archimedean is None:
@@ -345,5 +336,7 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int,
             yield mask, weight, (lo, 0)
     _, cell = _fold(absorbed(_chunks(arith, 2, equations, _extents(arith, equations, upper, 2), n)), n)
     mll_witness = cell and tuple(arith.carrier.value_at(i) for i in cell[::-1])
-    status = CONSISTENT if archimedean.archimedean == (cell is None) else INCONSISTENT
-    return TheoremReport(status, archimedean.archimedean, upper, n * n, mll_witness)
+    is_archimedean = archimedean.status == HOLDS
+    consistent = is_archimedean == (cell is None)
+    return LawReport("theorem-archimedean-mll", HOLDS if consistent else FAILS, mll_witness, upper, n * n, None,
+                     (("consistency", CONSISTENT if consistent else INCONSISTENT), ("archimedean", is_archimedean)))

@@ -1,6 +1,7 @@
 """Exit-code contract of the ``nda`` command line, driven through cli.main(argv)."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -143,6 +144,26 @@ def test_archimedean_scan_runs_once_per_audit(spec, monkeypatch, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(calls) == 1
     assert records[-2:] == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("spec, lie, line", [
+    # pow:2 rounds sqrt(1 + 1) down to 1, so 1 << 1 and the sums of 1 stop: claimed Archimedean all the same
+    ("projective:pow:2@int:0:200", laws.HOLDS, '{"law": "theorem-archimedean-mll", "status": "fails", "witness": [1, 1], '
+     '"range": "0..150", "pairs_checked": 22801, "violations": null, "consistency": "inconsistent", "archimedean": true}'),
+    # dual:quad absorbs nothing: claimed not Archimedean all the same
+    ("dual:quad@int:0:200", laws.FAILS, '{"law": "theorem-archimedean-mll", "status": "fails", "witness": null, '
+     '"range": "0..150", "pairs_checked": 22801, "violations": null, "consistency": "inconsistent", "archimedean": false}'),
+])
+def test_theorem_fails_against_an_archimedean_report_that_contradicts_the_scan(spec, lie, line, capsys):
+    a, upper = Arithmetic.from_spec(spec), 150
+    truth = laws.check_archimedean(a, upper)
+    assert truth.status != lie
+    report = laws.verify_archimedean_theorem(a, upper, dataclasses.replace(truth, status=lie))
+    assert report.status == laws.FAILS
+    assert report.details == (("consistency", laws.INCONSISTENT), ("archimedean", lie == laws.HOLDS))
+    assert report.witness == laws.verify_archimedean_theorem(a, upper).witness  # the same scan of a << b
+    cli._emit_records([cli._law_record(report)], cli._LAW_COLUMNS, "json")
+    assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize("spec", ["id@grid:0:1:nan", "id@grid:0:inf:1", "id@grid:0:1:1e-300"],
@@ -314,6 +335,20 @@ lightspeed: velocities never add past c (speeds as fractions of c)
 def test_demo_output_is_golden(capsys):
     assert cli.main(["demo"]) == 0
     assert capsys.readouterr().out == _DEMO_OUTPUT
+
+
+# "<format> <spec>" -> the lines, ends included, of nda --format <format> laws <spec> --check all -R 12:
+# an Archimedean fail with its fixed point, a "fixed_point": null beside "archimedean": true,
+# and not-applicable rows with float witnesses.  They pin the detail keys of each row and their order.
+_LAWS_GOLDEN = json.loads((Path(__file__).parent / "laws_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_LAWS_GOLDEN))
+def test_laws_output_is_golden(key, capsys):
+    fmt, spec = key.split()
+    assert cli.main(["--format", fmt, "laws", spec, "--check", "all", "-R", "12"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("".join(_LAWS_GOLDEN[key]), "")
 
 
 def test_repl_prints_through_the_commands(monkeypatch, capsys):

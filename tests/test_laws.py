@@ -12,6 +12,7 @@ from nda.laws import (
     ALL_LAWS,
     FAILS,
     HOLDS,
+    LAW_NAMES,
     NOT_APPLICABLE,
     CONSISTENT,
     check_archimedean,
@@ -174,7 +175,7 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
     monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 13 ** 2)
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", 13 ** 2)
     assert check_law(a, "commutativity-add", 12).pairs_checked == 13 ** 2
-    assert verify_archimedean_theorem(a, 12).status == CONSISTENT
+    assert verify_archimedean_theorem(a, 12).status == HOLDS
 
     def no_table(*args):
         raise AssertionError("an op table was built for a refused scan")
@@ -332,6 +333,44 @@ def test_no_buffer_outlives_the_audit():
     assert current <= sum(t.nbytes for t in a._op_tables.values()) + 64 * 1024
 
 
+@pytest.fixture
+def law_calls(monkeypatch):
+    """Names of the laws functions called, in order, through the module globals that bench/child.py wraps."""
+    calls = []
+    for name in ("check_law", "check_archimedean", "verify_archimedean_theorem"):
+        fn = getattr(laws, name)
+        monkeypatch.setattr(laws, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["projective:pow:1.5@int:0:1000", "dual:quad@int:0:200",
+                                  "projective:atanh:1@grid:0:1:0.01"])
+def test_check_laws_rows_are_the_standalone_reports(spec, law_calls, upper=20):
+    a = arith(spec)
+    archimedean = check_archimedean(a, upper)
+    theorem = verify_archimedean_theorem(a, upper, archimedean)
+    assert verify_archimedean_theorem(a, upper) == theorem
+    expected = dict(zip(LAW_NAMES, [check_law(a, law, upper) for law in ALL_LAWS] + [archimedean, theorem]))
+    law_calls.clear()
+    assert check_laws(a, LAW_NAMES, upper) == list(expected.values())
+    # one Archimedean search, passed to the theorem rather than made inside it, so no span nests in another
+    assert law_calls == ["check_law"] * len(ALL_LAWS) + ["check_archimedean", "verify_archimedean_theorem"]
+    law_calls.clear()
+    names = ["theorem-archimedean-mll", "assoc-add", "archimedean", "theorem-archimedean-mll"]
+    assert check_laws(a, names, upper) == [expected[name] for name in names]
+    assert law_calls == ["check_archimedean", "verify_archimedean_theorem", "check_law", "verify_archimedean_theorem"]
+
+
+def test_check_laws_refuses_an_unknown_name_before_any_table(law_calls, monkeypatch):
+    monkeypatch.setattr(Arithmetic, "op_table", lambda *args: pytest.fail("an op table was built for a refused audit"))
+    with pytest.raises(ValueError) as refused:
+        check_laws(arith("projective:pow:1.5@int:0:1000"), ["assoc-add", "archimedean", "nope"], 12)
+    assert str(refused.value) == ("unknown law 'nope'; choose from commutativity-add, commutativity-mul, assoc-add, "
+                                  "assoc-mul, distributivity, neutral-zero, neutral-one, archimedean, "
+                                  "theorem-archimedean-mll")
+    assert law_calls == []
+
+
 # ----------------------------------------------------------------------
 # Archimedean property and the equivalence with <<
 # ----------------------------------------------------------------------
@@ -339,24 +378,25 @@ def test_no_buffer_outlives_the_audit():
 class TestArchimedean:
     def test_pow2_witness(self):
         report = check_archimedean(arith("projective:pow:2@int:0:200"), 150)
-        assert not report.archimedean
+        assert report.status == FAILS
         assert report.witness == (1, 2)
-        assert report.fixed_point == 1
+        assert report.details == (("fixed_point", 1),)
 
     def test_identity_archimedean(self):
-        assert check_archimedean(arith("projective:id@int:0:200"), 150).archimedean
+        assert check_archimedean(arith("projective:id@int:0:200"), 150).status == HOLDS
 
     def test_dual_archimedean(self):
-        assert check_archimedean(arith("dual:quad@int:0:200"), 150).archimedean
+        assert check_archimedean(arith("dual:quad@int:0:200"), 150).status == HOLDS
 
     def test_witness_invariant(self):
         a = arith("projective:exp2m1@int:0:200")
         report = check_archimedean(a, 150)
-        assert not report.archimedean
+        assert report.status == FAILS
         m, n = report.witness
-        assert report.fixed_point < n
+        fixed_point = dict(report.details)["fixed_point"]
+        assert fixed_point < n
         sums, _ = arith_partial_sums(a, seq_from_spec(f"const:{m}"), a.carrier.size)
-        assert sums[-1] == report.fixed_point
+        assert sums[-1] == fixed_point
 
 
 class TestTheorem:
@@ -364,12 +404,12 @@ class TestTheorem:
     @pytest.mark.parametrize("kind", ["projective", "dual"])
     def test_consistent_for_builtins(self, name, kind):
         report = verify_archimedean_theorem(arith(f"{kind}:{name}@int:0:200"), 150)
-        assert report.status == CONSISTENT
+        assert report.status == HOLDS and dict(report.details)["consistency"] == CONSISTENT
 
     def test_non_archimedean_side(self):
         report = verify_archimedean_theorem(arith("projective:pow:2@int:0:200"), 150)
-        assert not report.archimedean
-        a, b = report.mll_witness
+        assert dict(report.details)["archimedean"] is False
+        a, b = report.witness
         assert a > 0
         assert evaluate(parse_text(f"{a} << {b}"), Arithmetic.from_spec("projective:pow:2@int:0:200"))
 
@@ -379,20 +419,20 @@ class TestTheorem:
         # add(top, a) saturates at the top: no a << top, so R = top agrees with R = top - 1
         a = arith(f"{kind}:{name}@int:0:10")
         at_top, below = verify_archimedean_theorem(a, 10), verify_archimedean_theorem(a, 9)
-        assert at_top.status == below.status == CONSISTENT
-        assert at_top.mll_witness == below.mll_witness
+        assert at_top.status == below.status == HOLDS
+        assert at_top.witness == below.witness
 
     def test_projective_absorption_below_the_top_counts(self):
         # rounding down absorbs below the top: sqrt(1 + 1) = 1.41 gives 1 << 1
         report = verify_archimedean_theorem(arith("projective:pow:2@int:0:10"), 10)
-        assert not report.archimedean
-        assert report.mll_witness == (1, 1)
-        assert report.status == CONSISTENT
+        assert report.details == (("consistency", CONSISTENT), ("archimedean", False))
+        assert report.witness == (1, 1)
+        assert report.status == HOLDS
 
     def test_archimedean_side(self):
         report = verify_archimedean_theorem(arith("dual:quad@int:0:200"), 150)
-        assert report.archimedean
-        assert report.mll_witness is None
+        assert dict(report.details)["archimedean"] is True
+        assert report.witness is None
 
 
 @pytest.mark.parametrize("spec, dtype", [
@@ -419,16 +459,17 @@ def test_archimedean_rows_match_reference(spec, dtype, monkeypatch, tmp_path):
     for upper in (1, 2, 17, top - 1, top):
         stuck = ref_archimedean(fvals, kind, upper)
         report = check_archimedean(a, upper)
-        assert report.archimedean == (stuck is None)
+        assert report.status == (HOLDS if stuck is None else FAILS)
         if stuck is None:
-            assert (report.witness, report.fixed_point, report.candidates_checked) == (None, None, upper)
+            assert (report.witness, report.details, report.pairs_checked) == (None, (("fixed_point", None),), upper)
         else:
             m, fixed_point = stuck
-            assert (report.witness, report.fixed_point, report.candidates_checked) == ((m, fixed_point + 1),
-                                                                                      fixed_point, m)
+            assert (report.witness, report.details, report.pairs_checked) == ((m, fixed_point + 1),
+                                                                              (("fixed_point", fixed_point),), m)
         expected = verify_archimedean_theorem(a, upper)
-        assert expected.mll_witness == ref_least_absorption(fvals, kind, upper)
-        assert expected.status == CONSISTENT and (expected.mll_witness is None) == report.archimedean
+        assert expected.witness == ref_least_absorption(fvals, kind, upper)
+        assert expected.details == (("consistency", CONSISTENT), ("archimedean", stuck is None))
+        assert expected.status == HOLDS and (expected.witness is None) == (stuck is None)
         assert expected.pairs_checked == (upper + 1) ** 2
         for table_cells, rows in ((laws.MAX_TABLE_CELLS, 1), (laws.MAX_TABLE_CELLS, 4), (0, upper + 1)):
             monkeypatch.setattr(laws, "MAX_TABLE_CELLS", table_cells)  # 0: add computed one leading index a chunk
@@ -444,9 +485,9 @@ def test_theorem_counts_absorption_only_below_the_bound(tmp_path):
     path.write_text("".join(f"{x} {x if x <= 5 else 100 + x}\n" for x in range(11)))
     a = arith(f"projective:table:{path}@int:0:10")
     at_five = verify_archimedean_theorem(a, 5)
-    assert at_five.archimedean and at_five.mll_witness is None and at_five.status == CONSISTENT
+    assert at_five.details == (("consistency", CONSISTENT), ("archimedean", True)) and at_five.witness is None
     above = verify_archimedean_theorem(a, 6)
-    assert not above.archimedean and above.mll_witness == (1, 5) and above.status == CONSISTENT
+    assert above.details == (("consistency", CONSISTENT), ("archimedean", False)) and above.witness == (1, 5)
     assert check_archimedean(a, 6).witness == (1, 6)
 
 
@@ -482,5 +523,5 @@ def test_archimedean_orbits_stop_at_the_bound(monkeypatch):
     a, calls = arith("dual:pow:2@int:0:1000"), []
     add_index = Arithmetic.add_index
     monkeypatch.setattr(Arithmetic, "add_index", lambda self, i, j: calls.append((i, j)) or add_index(self, i, j))
-    assert check_archimedean(a, 30).archimedean
+    assert check_archimedean(a, 30).status == HOLDS
     assert len(calls) <= 30 ** 2  # following each orbit to the top takes some 27,000 sums

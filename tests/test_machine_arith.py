@@ -125,15 +125,15 @@ def test_associativity_fails(kind, table_path):
 def test_projective_format_absorbs_and_counting_stops(table_path):
     a = _arith("projective", table_path)
     report = verify_archimedean_theorem(a, TOP)
-    assert report.status == CONSISTENT and not report.archimedean
-    assert report.mll_witness == (1, 1 << P)  # 1 << 2^P: the first sum that rounds back is 2^P + 1
-    small, big = report.mll_witness
+    assert report.details == (("consistency", CONSISTENT), ("archimedean", False))
+    assert report.witness == (1, 1 << P)  # 1 << 2^P: the first sum that rounds back is 2^P + 1
+    small, big = report.witness
     assert small > 0 and _rounded_sum(big, small, up=False) == big
     # the sums of 1 stop at 2^P, as counting in a float stops at 2^53 in double precision
     counting = check_archimedean(a, TOP)
-    assert counting.witness == (1, (1 << P) + 1) and counting.fixed_point == 1 << P
+    assert counting.witness == (1, (1 << P) + 1) and counting.details == (("fixed_point", 1 << P),)
 
 
 def test_dual_format_never_absorbs(table_path):
     report = verify_archimedean_theorem(_arith("dual", table_path), TOP)
-    assert report.status == CONSISTENT and report.archimedean and report.mll_witness is None
+    assert report.details == (("consistency", CONSISTENT), ("archimedean", True)) and report.witness is None
