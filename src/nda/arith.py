@@ -127,26 +127,34 @@ class Arithmetic:
     def _settle(self, fv: np.ndarray, target: np.ndarray, k: np.ndarray) -> np.ndarray:
         """The exact _search of object targets, starting from candidate indices k.
 
-        Each pass compares a cell's target exactly with f at k and at its
-        neighbour and moves k one index where the pair does not bracket it.
+        A cell is bracketed where f at k and at its neighbour enclose its
+        target.  Each cell first tests the side that a float64 tie leaves its
+        candidate on, above a projective target and below a dual one, then the
+        other side; a cell that moved rechecks only the side it moved toward.
         Cells left unbracketed after two moves fall back to _search.
         """
         top, shape = len(fv) - 1, np.shape(target)
         t, k = np.ravel(target), np.ravel(k)
-        j, cells = k, np.arange(k.size)
-        for moves in range(3):
-            if self.kind == PROJECTIVE:  # fv[j] <= t < fv[j + 1]
-                down = fv[j] > t
-                up = (j < top) & (fv[np.minimum(j + 1, top)] <= t)
-            else:  # fv[j - 1] < t <= fv[j], or j the top
-                up = (j < top) & (fv[j] < t)
-                down = (j > 0) & (fv[np.maximum(j - 1, 0)] >= t)
-            moved = up | down
-            if not moved.any():
-                break
-            cells, t = cells[moved], t[moved]
-            j = self._search(fv, t) if moves == 2 else j[moved] + up[moved] - down[moved]
-            k[cells] = j
+
+        def off(j, tj, step, where=True):  # True where j must move by step (1 up, -1 down) to bracket tj
+            if self.kind == PROJECTIVE:  # fv[j] <= tj < fv[j + 1]
+                at, test, can = (j, np.greater, True) if step < 0 else (np.minimum(j + 1, top), np.less_equal, j < top)
+            else:  # fv[j - 1] < tj <= fv[j], or j the top
+                at, test, can = (j, np.less, j < top) if step > 0 else (np.maximum(j - 1, 0), np.greater_equal, j > 0)
+            return test(fv[at], tj, where=where & can, out=np.zeros(j.shape, bool))  # compares only where
+
+        first = -1 if self.kind == PROJECTIVE else 1
+        moving = off(k, t, first)
+        groups = [(first, np.flatnonzero(moving)), (-first, np.flatnonzero(off(k, t, -first, ~moving)))]
+        left = []
+        for step, group in groups:
+            for _ in range(2):
+                k[group] += step
+                group = group[off(k[group], t[group], step)]
+            left.append(group)
+        left = np.concatenate(left)
+        if left.size:
+            k[left] = self._search(fv, t[left])
         return k.reshape(shape)
 
     def index_table(self, op: str, rows, cols) -> np.ndarray:

@@ -7,10 +7,12 @@ is read off the sides at the corner (R, ..., R) before anything is built.
 Op tables are symmetric: f(i)+f(j) and f(i)*f(j) commute, and op_table
 mirrors each block (test_op_table_triangle_fills_the_square checks them
 against index_table; an audit's commutativity scans read the same tables, so
-they cannot).  With P[a, b, c] = op(op(a, b), c), associativity thus fails
-exactly where P[a, b, c] != P[c, b, a].  Its scans tile the (a, c) plane in
-blocks of ASSOC_TILE indices and compare P[A, :, C] with the transpose of
-P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2) memory.
+they cannot, though they still read op(b, a) off the mirrored cells, in
+transposed gathers).  With P[a, b, c] = op(op(a, b), c), associativity thus
+fails exactly where P[a, b, c] != P[c, b, a].  Its scans tile the (a, c)
+plane in blocks of ASSOC_TILE indices and compare P[A, :, C] with the
+transpose of P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2)
+memory, over narrow copies of each block's columns.
 Distributivity, the 1- and 2-ary laws and the Archimedean theorem's
 absorption cells (add(a, b) == a, its mask inverted) scan [0..R]^arity in
 chunks of the leading index of at most MAX_SCAN_CELLS cells, 9 bytes each
@@ -140,20 +142,26 @@ def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarr
 
 
 def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = table[x, y] by np.take, one leading index at a time where x and y both vary along it."""
+    """out[...] = table[x, y] by np.take, one leading index at a time where x and y both vary along it, and
+    in transposed blocks of some 64K cells where y varies only before x, as commutativity's op(b, a) does."""
     vx = [d for d, n in enumerate(x.shape) if n > 1]
     vy = [d for d, n in enumerate(y.shape) if n > 1]
-    if vx and vy and vx[-1] >= vy[0]:
+    if vx and vy and vy[-1] < vx[0]:  # out is the (y cell, x cell) grid
+        grid, step = out.reshape(y.size, x.size), max(1, (1 << 16) // x.size)
+        for lo in range(0, y.size, step):
+            block = np.empty((x.size, min(step, y.size - lo)), out.dtype)
+            _take(table, x.reshape(-1, 1), y.reshape(1, -1)[:, lo:lo + step], block)
+            grid[lo:lo + step] = block.T
+    elif vx and vy and vx[-1] >= vy[0]:
         for i in range(len(out)):  # an operand of length 1 on the leading axis broadcasts
             _take(table, x[i % len(x)], y[i % len(y)], out[i])
-        return
-    # x varies only on axes before y's, so out is the (x cell, y cell) grid in C order;
-    # mode="wrap" takes straight into out, where "raise" would buffer it
-    xr, yr, grid = x.ravel(), y.ravel(), out.reshape(x.size, y.size)
-    if xr.size <= yr.size:  # take the shorter operand's rows or columns first
-        np.take(np.take(table, xr, axis=0), yr, axis=1, out=grid, mode="wrap")
-    else:
-        np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
+    else:  # x varies only on axes before y's, so out is the (x cell, y cell) grid in C order;
+        # mode="wrap" takes straight into out, where "raise" would buffer it
+        xr, yr, grid = x.ravel(), y.ravel(), out.reshape(x.size, y.size)
+        if xr.size <= yr.size:  # take the shorter operand's rows or columns first
+            np.take(np.take(table, xr, axis=0), yr, axis=1, out=grid, mode="wrap")
+        else:
+            np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
 
 
 # name -> (arity, needs_mul, equations), each equation an (lhs, rhs) pair of sides
@@ -219,7 +227,11 @@ def _chunks(arith: Arithmetic, arity: int, equations, extents: dict, n: int):
 
 
 def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
-    """(mask, weight, offsets) of each tile A x [0..n-1] x C, A <= C, True where P[a, b, c] != P[c, b, a]."""
+    """(mask, weight, offsets) of each tile A x [0..n-1] x C, A <= C, True where P[a, b, c] != P[c, b, a].
+
+    Tiles read copies of each block's columns: outer's in the narrowest unsigned type that holds its
+    largest index, inner's as intp, which np.take would otherwise convert them to on every tile.
+    """
     index = np.arange(n)  # P[a, b, c] = op(op(a, b), c) = outer[inner[a, b], c]
     if table is None:  # too large: the outer op over the distinct inner values x [0..n-1]
         values, inner = np.unique(arith.index_table(op, index[:, None], index), return_inverse=True)
@@ -228,12 +240,13 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
         inner, outer = table[:n, :n], table[:, :n]
         if inner.shape != (n, n) or outer.shape[1] < n or inner.max() >= len(table):  # takes below wrap
             raise IndexError(f"{op} operand past its table of shape {table.shape}")
-    starts = range(0, n, ASSOC_TILE)
-    cols = [np.ascontiguousarray(outer[:, lo:lo + ASSOC_TILE]) for lo in starts]  # every row read, one block's columns
+    starts, narrow = range(0, n, ASSOC_TILE), np.min_scalar_type(outer.max())
+    cols = [np.ascontiguousarray(outer[:, lo:lo + ASSOC_TILE], narrow) for lo in starts]  # every row read
+    rows = [np.ascontiguousarray(inner[:, lo:lo + ASSOC_TILE], np.intp) for lo in starts]
     for k, c0 in enumerate(starts):
         for j, a0 in enumerate(starts[:k + 1]):  # inner[:, A] is inner[A, :].T, inner being symmetric
-            lhs = np.take(cols[k], inner[:, a0:a0 + ASSOC_TILE], axis=0, mode="wrap")  # P[A, :, C] as [b, a, c]
-            rhs = lhs if j == k else np.take(cols[j], inner[:, c0:c0 + ASSOC_TILE], axis=0, mode="wrap")
+            lhs = np.take(cols[k], rows[j], axis=0, mode="wrap")  # P[A, :, C] as [b, a, c]
+            rhs = lhs if j == k else np.take(cols[j], rows[k], axis=0, mode="wrap")
             mask = (lhs != rhs.transpose(0, 2, 1)).transpose(1, 0, 2)  # rhs is P[C, :, A] as [b, c, a]
             del lhs, rhs  # only the mask lives on while the caller reads it
             yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too

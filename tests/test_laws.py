@@ -299,6 +299,57 @@ def test_tiled_assoc_scan_memory():
     assert peak < 61 ** 3  # a chunk of the cube would take 9 * 61 ** 3 bytes
 
 
+@pytest.mark.parametrize("spec, top, narrow", [
+    ("projective:pow:0.3@int:0:5000", 464, np.uint16),  # add(add(12, 12), 12) = 464, from the op table
+    # add(12, 12) = 12,379 leaves no table: the outer op over the distinct inner values saturates at the top
+    ("projective:pow:0.1@int:0:200000", 200000, np.uint32),
+])
+def test_tiled_assoc_scan_widens_its_narrow_columns(spec, top, narrow, monkeypatch, upper=12):
+    a, n = arith(spec), upper + 1
+    add = a.add_index
+    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    violations = [t for t in cells if add(add(t[0], t[1]), t[2]) != add(t[0], add(t[1], t[2]))]
+    assert max(add(add(i, j), k) for i, j, k in cells) == top
+    read, take = set(), np.take  # the dtype of every array that the tiles take from
+    monkeypatch.setattr(np, "take", lambda array, *args, **kwargs: read.add(array.dtype) or take(array, *args, **kwargs))
+    report = check_law(a, "assoc-add", upper)
+    assert read == {np.dtype(narrow)}
+    assert (report.witness, report.violations) == (smallest_witness(violations), len(violations))
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((7, 1), (1, 9)),  # x before y: the (x cell, y cell) grid
+    ((1, 9), (7, 1)),  # y before x, as in op(b, a): transposed in one block
+    ((1, 300), (400, 1)),  # y before x across blocks of some 64K cells
+    ((1, 1, 6), (4, 5, 1)),  # y before x over two axes
+    ((5, 1), (5, 4)),  # both vary on the leading axis
+    ((5, 4, 1), (5, 1, 3)),
+    ((1, 4, 1), (5, 1, 3)),  # a leading operand of length 1 broadcasts
+    ((5,), ()),  # a carrier constant
+])
+def test_take_is_fancy_indexing(x_shape, y_shape):
+    table = np.arange(500 * 600, dtype=np.int32).reshape(500, 600)  # no cell equals its mirror
+    rng = np.random.default_rng(20011108)
+    x, y = rng.integers(500, size=x_shape), rng.integers(500, size=y_shape)
+    out = np.full(np.broadcast_shapes(x_shape, y_shape), -1, np.int32)
+    laws._take(table, x, y, out)
+    assert np.array_equal(out, table[x, y])
+
+
+def test_commutativity_gathers_in_bounded_memory():
+    a, n = arith("projective:pow:1.5@int:0:1000"), 1001
+    check_law(a, "commutativity-add", 1000)  # the op table is memoised before tracing
+    tracemalloc.start()
+    try:
+        check_law(a, "commutativity-add", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two int32 sides and the bool mask, and the n x n intermediate of op(a, b):
+    # the transposed blocks of op(b, a) are smaller than that intermediate
+    assert peak <= 13 * n ** 2 + 64 * 1024
+
+
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_operand_past_a_short_table_raises(law, monkeypatch):
     # tables are taken from with mode="wrap", so a bounds check must catch an operand past the table
