@@ -33,6 +33,14 @@ GRID_TOLERANCE = 1e-9
 MAX_SIZE = 1 << 22
 
 
+def number_text(v: int | float) -> str:
+    """v in its shortest form that reads back as v: :g where that is exact, else repr."""
+    if isinstance(v, int):
+        return str(v)
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def _bounded(size: int) -> int:
     if size > MAX_SIZE:
         raise ValidationError(f"carrier exceeds the limit of {MAX_SIZE:,} points")
@@ -89,7 +97,7 @@ class Carrier:
     def spec(self) -> str:
         if self.kind == INTEGER_RANGE:
             return f"int:0:{self.max}"
-        return f"grid:0:{self.max:g}:{self.step:g}"
+        return f"grid:0:{number_text(self.max)}:{number_text(self.step)}"
 
     def value_at(self, i: int) -> int | float:
         """The i-th carrier value, derived from the index (never accumulated)."""

@@ -1,6 +1,6 @@
 """Exhaustive verification of classical laws over a finite range.
 
-Laws are data: an arity and equations whose sides compose add and mul over
+Laws are data: an arity and one equation whose sides compose add and mul over
 index axes a, b, c, each op gathered from its memoised int32 table over
 [0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
 is read off the sides at the corner (R, ..., R) before anything is built.
@@ -13,11 +13,10 @@ fails exactly where P[a, b, c] != P[c, b, a].  Its scans tile the (a, c)
 plane in blocks of ASSOC_TILE indices and compare P[A, :, C] with the
 transpose of P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2)
 memory, over narrow copies of each block's columns.
-Distributivity, the 1- and 2-ary laws and the Archimedean theorem's
-absorption cells (add(a, b) == a, its mask inverted) scan [0..R]^arity in
+The neutral laws check a + 0 and a * 1 only, as 0 + a and 1 * a are the
+mirrored cells.  Distributivity and the 1- and 2-ary laws scan [0..R]^arity in
 chunks of the leading index of at most MAX_SCAN_CELLS cells, 9 bytes each
-(two int32 sides and a bool mask; 5 where every right side is a bare axis,
-as in the theorem and the neutral laws), in buffers each scan allocates once.
+(two int32 sides and a bool mask), in buffers each scan allocates once.
 An op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly
 over each chunk's operands instead, and such a scan takes one leading index
 a chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
@@ -29,7 +28,7 @@ the cube passes MAX_SCAN_CELLS.  Reports give holds / fails /
 not-applicable, the exact violation count and the smallest counterexample:
 least largest component, then lexicographic, which is the first violation in
 C order of the least cube [0..k]^arity that holds one.  check_laws also reports
-the archimedean and theorem-archimedean-mll rows, their extra fields as details.
+the Archimedean rows (each O(R), from the sums s + 1), their extra fields as details.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -98,15 +97,15 @@ def _side(apply, arith: Arithmetic, side, axes, buffer=None):
     return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
 
 
-def _extents(arith: Arithmetic, equations, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
-    """Each op's table extent in the equations, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
+def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
+    """Each op's table extent in the equation, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
     extents: dict[str, int] = {}
 
     def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
         extents[op] = max(extents.get(op, 0), int(i), int(j))
         return _clamped(arith, op, int(i), int(j))
 
-    for side in sum(equations, ()):  # both sides of every equation
+    for side in equation:
         _side(corner, arith, side, (upper,) * 3)
     fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
     n, top = upper + 1, max(extents.values())
@@ -164,15 +163,15 @@ def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> N
             np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
 
 
-# name -> (arity, needs_mul, equations), each equation an (lhs, rhs) pair of sides
+# name -> (arity, needs_mul, equation), the equation an (lhs, rhs) pair of sides
 _LAWS = {
-    "commutativity-add": (2, False, [(("add", "a", "b"), ("add", "b", "a"))]),
-    "commutativity-mul": (2, True, [(("mul", "a", "b"), ("mul", "b", "a"))]),
-    "assoc-add": (3, False, [(("add", ("add", "a", "b"), "c"), ("add", "a", ("add", "b", "c")))]),
-    "assoc-mul": (3, True, [(("mul", ("mul", "a", "b"), "c"), ("mul", "a", ("mul", "b", "c")))]),
-    "distributivity": (3, True, [(("mul", "a", ("add", "b", "c")), ("add", ("mul", "a", "b"), ("mul", "a", "c")))]),
-    "neutral-zero": (1, False, [(("add", "a", 0), "a"), (("add", 0, "a"), "a")]),
-    "neutral-one": (1, True, [(("mul", "a", 1), "a"), (("mul", 1, "a"), "a")]),
+    "commutativity-add": (2, False, (("add", "a", "b"), ("add", "b", "a"))),
+    "commutativity-mul": (2, True, (("mul", "a", "b"), ("mul", "b", "a"))),
+    "assoc-add": (3, False, (("add", ("add", "a", "b"), "c"), ("add", "a", ("add", "b", "c")))),
+    "assoc-mul": (3, True, (("mul", ("mul", "a", "b"), "c"), ("mul", "a", ("mul", "b", "c")))),
+    "distributivity": (3, True, (("mul", "a", ("add", "b", "c")), ("add", ("mul", "a", "b"), ("mul", "a", "c")))),
+    "neutral-zero": (1, False, (("add", "a", 0), "a")),  # 0 + a is the mirrored cell
+    "neutral-one": (1, True, (("mul", "a", 1), "a")),  # and so is 1 * a
 }
 ALL_LAWS = tuple(_LAWS)
 LAW_NAMES = ALL_LAWS + ("archimedean", "theorem-archimedean-mll")  # every row check_laws reports
@@ -191,38 +190,31 @@ def _least_violation(mask: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, .
 
 
 def _plan(arith: Arithmetic, law: str, upper: int):
-    """(arity, equations, op extents) of a law, None where it is not applicable; refuses an oversize scan."""
+    """(arity, equation, op extents) of a law, None where it is not applicable; refuses an oversize scan."""
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
-    arity, needs_mul, equations = _LAWS[law]
+    arity, needs_mul, equation = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equations, _extents(arith, equations, upper, arity, law in _TRANSPOSED)
+    return arity, equation, _extents(arith, equation, upper, arity, law in _TRANSPOSED)
 
 
-def _chunks(arith: Arithmetic, arity: int, equations, extents: dict, n: int):
-    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where an equation fails.
+def _chunks(arith: Arithmetic, arity: int, equation, extents: dict, n: int):
+    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where the equation fails.
 
     A chunk holds at most MAX_SCAN_CELLS cells, or n where an op has no table
     (extent None), rounded up to whole leading indices.
     """
     budget = n if None in extents.values() else MAX_SCAN_CELLS
     gather, rows = partial(_gather, arith, _tables(arith, extents)), min(n, max(1, budget // n ** (arity - 1)))
-    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk; a bare axis on the right needs none
-    lhs_buffer, mask_buffer = np.empty(cells, np.int32), np.empty(cells, bool)
-    rhs_buffer = np.empty(cells, np.int32) if any(isinstance(rhs, tuple) for _, rhs in equations) else None
+    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk
+    buffers, mask_buffer = (np.empty(cells, np.int32), np.empty(cells, np.int32)), np.empty(cells, bool)
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
-        mask = None
-        for lhs, rhs in equations:
-            left = _side(gather, arith, lhs, axes, lhs_buffer)
-            right = _side(gather, arith, rhs, axes, rhs_buffer)
-            if mask is None:  # the chunk's own prefix of the buffer, so no stale cell is counted
-                shape = np.broadcast_shapes(left.shape, right.shape)
-                mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
-            else:
-                mask |= left != right
+        left, right = (_side(gather, arith, side, axes, buffer) for side, buffer in zip(equation, buffers))
+        shape = np.broadcast_shapes(left.shape, right.shape)  # the chunk's own prefix of the buffer, so no stale cell
+        mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
         yield mask, 1, (lo,) + (0,) * (arity - 1)
 
 
@@ -275,9 +267,9 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     plan = _plan(arith, law, upper)
     if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    arity, equations, extents = plan
+    arity, equation, extents = plan
     n, op = upper + 1, _TRANSPOSED.get(law)
-    masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equations, extents, n)
+    masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equation, extents, n)
     count, cell = _fold(masks, n)
     witness = cell and tuple(arith.carrier.value_at(i) for i in cell)
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
@@ -314,18 +306,18 @@ def check_archimedean(arith: Arithmetic, upper: int) -> LawReport:
 
     Only a fixed point below R (the report's detail) gives a witness (m, n),
     n = the fixed point + 1; the saturated top is none, as its sums may have
-    kept growing on a larger carrier.  Sums never fall: orbits stop at R.
+    kept growing on a larger carrier.  Add is monotone and s + m >= s, so
+    s + m = s forces s + 1 = s: the sums of 1, which stay at or below every
+    fixed point of s -> s + 1, stop first, and are the only ones followed, up
+    to R.  pairs_checked counts the m decided: 1 where it fails, R where it holds.
     """
     _check_upper(arith, upper)
-    value = arith.carrier.value_at
-    for mi in range(1, upper + 1):
-        s = mi
-        while s < upper:  # at most R - m sums; a dual sum past the window stops at the top
-            nxt = _clamped(arith, "add", s, mi)
-            if nxt == s:
-                return LawReport("archimedean", FAILS, (value(mi), value(s + 1)), upper, mi, None,
-                                 (("fixed_point", value(s)),))
-            s = nxt
+    value, s = arith.carrier.value_at, 1
+    while s < upper:  # at most R - 1 sums; a dual sum past the window stops at the top
+        nxt = _clamped(arith, "add", s, 1)
+        if nxt == s:
+            return LawReport("archimedean", FAILS, (value(1), value(s + 1)), upper, 1, None, (("fixed_point", value(s)),))
+        s = nxt
     return LawReport("archimedean", HOLDS, None, upper, upper, None, (("fixed_point", None),))
 
 
@@ -335,21 +327,17 @@ def verify_archimedean_theorem(arith: Arithmetic, upper: int, archimedean: LawRe
     archimedean is check_archimedean(arith, upper) where the caller has it
     already; it is computed here otherwise.  a << b counts only where b < R,
     as only a fixed point below R is an Archimedean witness.  Holds where the
-    sides agree; the witness is the least (a, b) with a << b and a > 0.
+    sides agree; the witness is the least (a, b) with a << b and a > 0: b + a = b
+    forces b + 1 = b (see check_archimedean), so it is (1, the least such b), read
+    off index_table, not the scalar sums.  pairs_checked counts the (R+1)^2 cells decided.
     """
     _check_upper(arith, upper)
     if archimedean is None:
         archimedean = check_archimedean(arith, upper)
-    equations, n = [(("add", "a", "b"), "a")], upper + 1  # holds where b << a, reported as (b, a)
-
-    def absorbed(masks):  # b = 0 is absorbed by neutrality; a >= R is no fixed point below R
-        for mask, weight, (lo, _) in masks:
-            np.logical_not(mask, out=mask)
-            mask[:, 0] = mask[upper - lo:] = False
-            yield mask, weight, (lo, 0)
-    _, cell = _fold(absorbed(_chunks(arith, 2, equations, _extents(arith, equations, upper, 2), n)), n)
-    mll_witness = cell and tuple(arith.carrier.value_at(i) for i in cell[::-1])
+    value, n, absorbers = arith.carrier.value_at, upper + 1, np.arange(1, upper)
+    stuck = np.flatnonzero(arith.index_table("add", absorbers, 1) == absorbers)
+    mll_witness = (value(1), value(int(stuck[0]) + 1)) if stuck.size else None
     is_archimedean = archimedean.status == HOLDS
-    consistent = is_archimedean == (cell is None)
+    consistent = is_archimedean == (mll_witness is None)
     return LawReport("theorem-archimedean-mll", HOLDS if consistent else FAILS, mll_witness, upper, n * n, None,
                      (("consistency", CONSISTENT if consistent else INCONSISTENT), ("archimedean", is_archimedean)))

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Arithmetic
+from .carrier import number_text
 from .errors import SpecError
 from .funcparam import parse_number
 
@@ -76,16 +77,8 @@ class SequenceSpec:
     def name(self) -> str:
         """The spec from_spec reads back as this sequence."""
         if self.family == LIST:
-            return "list:" + ",".join(map(_number_text, self.values))
-        return f"{self.family}:{_number_text(self.param)}"
-
-
-def _number_text(v: int | float) -> str:
-    """v in its shortest form that reads back as v: :g where that is exact, else repr."""
-    if isinstance(v, int):
-        return str(v)
-    text = f"{v:g}"
-    return text if float(text) == v else repr(v)
+            return "list:" + ",".join(map(number_text, self.values))
+        return f"{self.family}:{number_text(self.param)}"
 
 
 def from_spec(spec: str) -> SequenceSpec:

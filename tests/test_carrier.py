@@ -36,6 +36,10 @@ class TestConstruction:
     def test_spec_round_trip(self):
         for spec in ("int:0:100", "grid:0:1:0.001"):
             assert Carrier.from_spec(spec).spec == spec
+        # :g would print the max as 1.23457e+06, which reads back as a grid of 1,234,571 points
+        carrier = Carrier.from_spec("grid:0:1234567:1")
+        assert carrier.size == 1_234_568
+        assert Carrier.from_spec(carrier.spec) == carrier
 
     def test_size_bound(self):
         assert Carrier.from_spec("grid:0:1:0.00002").size == 50_001

@@ -23,7 +23,7 @@ from nda.laws import (
 from nda.series import arith_partial_sums
 from nda.series import from_spec as seq_from_spec
 
-from reference import f_values, ref_add, ref_archimedean, ref_least_absorption, ref_mul, smallest_witness
+from reference import atanh_values, f_values, ref_add, ref_archimedean, ref_least_absorption, ref_mul, smallest_witness
 
 
 def arith(spec):
@@ -137,6 +137,24 @@ def test_not_applicable_without_multiplication():
         report = check_law(a, law, 100)
         assert report.status == NOT_APPLICABLE
         assert report.witness is None
+
+
+def one_below_table(top):
+    """f(x) = x but f(1) = 1 - 1e-13, multiplicative within ONE_TOLERANCE, and f(top) = +inf."""
+    return [0, 1 - 1e-13, *range(2, top), math.inf]
+
+
+@pytest.mark.parametrize("kind, witness, count", [("projective", (1,), 9), ("dual", None, 0)])
+def test_neutral_one_counts_both_sides_where_it_fails(kind, witness, count, tmp_path):
+    # projective a * 1 rounds down below a from a = 1 up to the top, where inf * f(1) is inf
+    (tmp_path / "one.tbl").write_text("".join(f"{x} {v!r}\n" for x, v in enumerate(one_below_table(10))))
+    a = arith(f"{kind}:table:{tmp_path / 'one.tbl'}@int:0:10")
+    assert a.multiplicative
+    report = check_law(a, "neutral-one", 10)
+    # the law checks a * 1 alone: 1 * a is its mirrored cell
+    failing = [i for i in range(11) if a.mul_index(i, 1) != i or a.mul_index(1, i) != i]
+    assert (report.witness, report.violations) == (witness, count) == (smallest_witness([(i,) for i in failing]),
+                                                                        len(failing))
 
 
 def test_commutativity_holds_for_every_builtin():
@@ -498,15 +516,25 @@ class TestTheorem:
     # f(x) = x up to 12, then 3x^2: 12 + 1 rounds down to 12, so the sums of 1 stop at 12
     ("projective:table:{path}@int:0:40", "int64"),
     ("dual:table:{path}@int:0:40", "int64"),
+    # f(1) < 1: projective 1 + 1 rounds back down to 1
+    ("projective:table:{one}@int:0:40", "object"),
+    ("dual:table:{one}@int:0:40", "object"),
+    ("projective:atanh:1@grid:0:1:0.01", "float64"),  # f(top) = +inf
+    ("dual:atanh:1@grid:0:1:0.01", "float64"),
 ])
-def test_archimedean_rows_match_reference(spec, dtype, monkeypatch, tmp_path):
-    table = [x if x <= 12 else 3 * x * x for x in range(41)]
-    (tmp_path / "t.tbl").write_text("".join(f"{x} {v}\n" for x, v in enumerate(table)))
-    a = arith(spec.format(path=tmp_path / "t.tbl"))
+def test_archimedean_rows_match_reference(spec, dtype, tmp_path):
+    # the oracles follow every m and scan every pair (a, b); the rows follow the sums of 1 alone
+    tables = {"path": [x if x <= 12 else 3 * x * x for x in range(41)], "one": one_below_table(40)}
+    for key, table in tables.items():
+        (tmp_path / f"{key}.tbl").write_text("".join(f"{x} {v!r}\n" for x, v in enumerate(table)))
+    a = arith(spec.format(**{key: tmp_path / f"{key}.tbl" for key in tables}))
     assert a._f_array.dtype == dtype
     kind, name = spec.split("@")[0].split(":", 1)
-    top = a.carrier.size - 1
-    fvals = table if name.startswith("table") else f_values(name, top + 1)
+    top, value = a.carrier.size - 1, a.carrier.value_at
+    if name.startswith("table"):
+        fvals = tables[name[7:-1]]  # name is table:{key}
+    else:
+        fvals = atanh_values(1, 0.01, top + 1) if name.startswith("atanh") else f_values(name, top + 1)
     for upper in (1, 2, 17, top - 1, top):
         stuck = ref_archimedean(fvals, kind, upper)
         report = check_archimedean(a, upper)
@@ -515,19 +543,15 @@ def test_archimedean_rows_match_reference(spec, dtype, monkeypatch, tmp_path):
             assert (report.witness, report.details, report.pairs_checked) == (None, (("fixed_point", None),), upper)
         else:
             m, fixed_point = stuck
-            assert (report.witness, report.details, report.pairs_checked) == ((m, fixed_point + 1),
-                                                                              (("fixed_point", fixed_point),), m)
+            assert (report.witness, report.details, report.pairs_checked) == (
+                (value(m), value(fixed_point + 1)), (("fixed_point", value(fixed_point)),), m)
         expected = verify_archimedean_theorem(a, upper)
-        assert expected.witness == ref_least_absorption(fvals, kind, upper)
+        least = ref_least_absorption(fvals, kind, upper)
+        assert expected.witness == (least and tuple(map(value, least)))
         assert expected.details == (("consistency", CONSISTENT), ("archimedean", stuck is None))
         assert expected.status == HOLDS and (expected.witness is None) == (stuck is None)
         assert expected.pairs_checked == (upper + 1) ** 2
-        for table_cells, rows in ((laws.MAX_TABLE_CELLS, 1), (laws.MAX_TABLE_CELLS, 4), (0, upper + 1)):
-            monkeypatch.setattr(laws, "MAX_TABLE_CELLS", table_cells)  # 0: add computed one leading index a chunk
-            monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1))  # 4 does not divide R + 1 = 18
-            assert verify_archimedean_theorem(a, upper) == expected
-            assert verify_archimedean_theorem(a, upper, report) == expected
-            monkeypatch.undo()
+        assert verify_archimedean_theorem(a, upper, report) == expected
 
 
 def test_theorem_counts_absorption_only_below_the_bound(tmp_path):
@@ -542,32 +566,18 @@ def test_theorem_counts_absorption_only_below_the_bound(tmp_path):
     assert check_archimedean(a, 6).witness == (1, 6)
 
 
-def test_theorem_scan_memory(monkeypatch):
-    a = arith("projective:pow:1.5@int:0:1000")
-    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 0)  # add computed directly, one leading index a chunk
-    archimedean = check_archimedean(a, 300)  # f's array is memoised before tracing
+def test_theorem_memory_is_linear_in_the_bound():
+    a, upper = arith("projective:pow:1.5@int:0:10000"), 5000
+    archimedean = check_archimedean(a, upper)
+    a._f_array  # memoised before tracing
     tracemalloc.start()
     try:
-        verify_archimedean_theorem(a, 300, archimedean)
+        verify_archimedean_theorem(a, upper, archimedean)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 301 ** 2  # add over the whole square would take 8 * 301 ** 2 bytes
-
-
-def test_theorem_allocates_no_right_side_buffer():
-    a, n = arith("projective:pow:1.5@int:0:10000"), 1001
-    archimedean = check_archimedean(a, n - 1)
-    verify_archimedean_theorem(a, n - 1, archimedean)  # the add table is memoised before tracing
-    tracemalloc.start()
-    try:
-        verify_archimedean_theorem(a, n - 1, archimedean)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the int32 left side, the gather's int32 row block and the mask: 9 bytes a cell;
-    # an int32 buffer for the bare axis on the right side would make it 13
-    assert peak < 10 * n * n
+    # one column b + 1 of add, some 40 bytes a cell; a scan of [0..R]^2 one row at a time takes 50
+    assert peak < 48 * (upper + 1)
 
 
 def test_archimedean_orbits_stop_at_the_bound(monkeypatch):
@@ -575,4 +585,4 @@ def test_archimedean_orbits_stop_at_the_bound(monkeypatch):
     add_index = Arithmetic.add_index
     monkeypatch.setattr(Arithmetic, "add_index", lambda self, i, j: calls.append((i, j)) or add_index(self, i, j))
     assert check_archimedean(a, 30).status == HOLDS
-    assert len(calls) <= 30 ** 2  # following each orbit to the top takes some 27,000 sums
+    assert len(calls) <= 30  # the sums of 1 alone; following every orbit to the top takes some 27,000
