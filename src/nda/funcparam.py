@@ -1,8 +1,8 @@
 """The functional parameter f that induces an arithmetic.
 
 f must be strictly increasing over the carrier, fix 0, and (when
-multiplication is wanted) fix 1.  Families that take integer values on
-integer carriers (identity, integral powers, exp2m1, quad) are evaluated
+multiplication is wanted) fix 1 exactly.  Families that take integer values
+on integer carriers (identity, integral powers, exp2m1, quad) are evaluated
 in exact integer arithmetic so order comparisons never suffer float
 truncation.  artanh is defined by _atanh_scaled: mpmath's low-level libmp
 kernel at 136 bits (40 decimal digits), rounded to the nearest double, so
@@ -16,6 +16,8 @@ addition (u+v)/(1+uv) can land one point low where its exact sum is a grid
 point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
 
 Validation happens once, at binding time; evaluation afterwards is total.
+Where any f value is an int, bind stores a float f(0) = 0.0 or f(1) = 1.0 as
+the int, so f(a) + f(0) and f(a) * f(1) are f(a) exactly (see laws).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .carrier import Carrier
+from .carrier import GRID_TOLERANCE, Carrier
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
 
 IDENTITY = "identity"
@@ -36,9 +38,6 @@ EXP2M1 = "exp2m1"
 QUAD = "quad"
 ATANH = "atanh"
 TABLE = "table"
-
-# relative tolerance for the f(1) = 1 multiplicative check
-ONE_TOLERANCE = 1e-12
 
 # bits of artanh's working precision: what mpmath.workdps(40) sets
 ATANH_PREC = 136
@@ -92,7 +91,7 @@ class FunctionalParameter:
         # the x values strictly increase, so only the entries either side of v can match
         i = bisect_left(self._table_xs, v)
         for x, y in self.points[max(i - 1, 0):i + 1]:
-            if x == v or abs(x - v) <= 1e-9 * max(1.0, abs(x), abs(v)):
+            if x == v or abs(x - v) <= GRID_TOLERANCE * max(1.0, abs(x), abs(v)):
                 return y
         raise ValidationError(f"table f has no entry for carrier point {v}")
 
@@ -215,24 +214,24 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, li
         if fv < 0:
             return _failure(i, f"f({v}) = {fv} is negative", i + 1), values
         values.append(fv)
-    return ValidationReport(True, _is_multiplicative(values, carrier), carrier.size), values
+    try:
+        one = carrier.index_of(1)  # multiplication needs the carrier value 1
+    except OffCarrierError:
+        one = None
+    multiplicative = one is not None and values[one] == 1
+    if int in map(type, values):  # a float 0 or 1 beside an exact int would round f(a) + f(0) or f(a) * f(1)
+        values[0] = 0
+        if multiplicative:
+            values[one] = 1
+    return ValidationReport(True, multiplicative, carrier.size), values
 
 
 def _failure(index: int, reason: str, checked: int) -> ValidationReport:
     return ValidationReport(False, False, checked, failure_index=index, reason=reason)
 
 
-def _is_multiplicative(values: list, carrier: Carrier) -> bool:
-    # multiplication needs the carrier value 1 with f(1) = 1
-    try:
-        i1 = carrier.index_of(1)
-    except OffCarrierError:
-        return False
-    return abs(values[i1] - 1) <= ONE_TOLERANCE
-
-
 def validate(f: FunctionalParameter, carrier: Carrier) -> ValidationReport:
-    """Check strict increase, f(0) = 0 and the f(1) = 1 flag over all carrier points."""
+    """Check strict increase, f(0) = 0 and the exact f(1) = 1 flag over all carrier points."""
     report, _ = bind(f, carrier)
     return report
 

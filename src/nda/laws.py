@@ -4,31 +4,30 @@ Laws are data: an arity and one equation whose sides compose add and mul over
 index axes a, b, c, each op gathered from its memoised int32 table over
 [0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
 is read off the sides at the corner (R, ..., R) before anything is built.
-Op tables are symmetric: f(i)+f(j) and f(i)*f(j) commute, and op_table
-mirrors each block (test_op_table_triangle_fills_the_square checks them
-against index_table; an audit's commutativity scans read the same tables, so
-they cannot, though they still read op(b, a) off the mirrored cells, in
-transposed gathers).  With P[a, b, c] = op(op(a, b), c), associativity thus
-fails exactly where P[a, b, c] != P[c, b, a].  Its scans tile the (a, c)
-plane in blocks of ASSOC_TILE indices and compare P[A, :, C] with the
-transpose of P[C, :, A] for each pair of blocks A <= C, in O(R * ASSOC_TILE^2)
-memory, over narrow copies of each block's columns.
-The neutral laws check a + 0 and a * 1 only, as 0 + a and 1 * a are the
-mirrored cells.  Distributivity and the 1- and 2-ary laws scan [0..R]^arity in
-chunks of the leading index of at most MAX_SCAN_CELLS cells, 9 bytes each
-(two int32 sides and a bool mask), in buffers each scan allocates once.
-An op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed directly
-over each chunk's operands instead, and such a scan takes one leading index
-a chunk (the whole range for a 1-ary law), at most max(R+1, (R+1)^(arity-1))
-cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity
-scan that needs one reads the outer op over its distinct inner values x
-[0..R] and the inner op over [0..R]^2, and is refused only when those, at
-most min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while
-the cube passes MAX_SCAN_CELLS.  Reports give holds / fails /
-not-applicable, the exact violation count and the smallest counterexample:
-least largest component, then lexicographic, which is the first violation in
-C order of the least cube [0..k]^arity that holds one.  check_laws also reports
-the Archimedean rows (each O(R), from the sums s + 1), their extra fields as details.
+Commutativity and the neutral laws have no equation: they hold by
+construction, and are reported unscanned, with the (R+1)^arity cells decided.
+a (op) b is rho(f(a) o f(b)), where rho rounds onto the carrier and
+rho(f(k)) = k, f being strictly increasing; o commutes over int, float and
+mixed operands, as does the 0 * inf mask, and bind makes f(a) + f(0) and
+f(a) * f(1) exactly f(a) (see funcparam).  With P[a, b, c] = op(op(a, b), c),
+associativity thus fails exactly where P[a, b, c] != P[c, b, a].  Its scans
+tile the (a, c) plane in blocks of ASSOC_TILE indices and compare P[A, :, C]
+with the transpose of P[C, :, A] for each pair of blocks A <= C, in
+O(R * ASSOC_TILE^2) memory, over narrow copies of each block's columns.
+Distributivity scans [0..R]^3 in chunks of the leading index of at most
+MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides and a bool mask), in
+buffers each scan allocates once.  An op whose table would pass MAX_TABLE_CELLS
+cells (32 MB) is computed directly over each chunk's operands instead, and such
+a scan takes one leading index a chunk, (R+1)^2 cells; it is refused past
+MAX_SCAN_CELLS cells in all.  An associativity scan that needs one reads the
+outer op over its distinct inner values x [0..R] and the inner op over
+[0..R]^2, and is refused only when those, at most
+min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the cube
+passes MAX_SCAN_CELLS.  Reports give holds / fails / not-applicable, the exact
+violation count and the smallest counterexample: least largest component, then
+lexicographic, which is the first violation in C order of the least cube
+[0..k]^arity that holds one.  check_laws also reports the Archimedean rows
+(each O(R), from the sums s + 1), their extra fields as details.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -84,17 +83,15 @@ def _clamped(arith: Arithmetic, op: str, i: int, j: int) -> int:
         return arith.carrier.size - 1
 
 
-def _side(apply, arith: Arithmetic, side, axes, buffer=None):
-    """One side of an equation (an axis name, a carrier value, or (op, side, side)) under apply(op, x, y, buffer).
+def _side(apply, side, axes, buffer=None):
+    """One side of an equation (an axis name or (op, side, side)) under apply(op, x, y, buffer).
 
     Only the top op of the side is taken into buffer; inner ops get fresh arrays.
     """
     if isinstance(side, str):
         return axes["abc".index(side)]
-    if isinstance(side, int):
-        return np.array(arith.carrier.index_of(side))
     op, x, y = side
-    return apply(op, _side(apply, arith, x, axes), _side(apply, arith, y, axes), buffer)
+    return apply(op, _side(apply, x, axes), _side(apply, y, axes), buffer)
 
 
 def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
@@ -106,7 +103,7 @@ def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = 
         return _clamped(arith, op, int(i), int(j))
 
     for side in equation:
-        _side(corner, arith, side, (upper,) * 3)
+        _side(corner, side, (upper,) * 3)
     fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
     n, top = upper + 1, max(extents.values())
     if not all(fits.values()) and n ** arity > MAX_SCAN_CELLS:
@@ -141,17 +138,10 @@ def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarr
 
 
 def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = table[x, y] by np.take, one leading index at a time where x and y both vary along it, and
-    in transposed blocks of some 64K cells where y varies only before x, as commutativity's op(b, a) does."""
+    """out[...] = table[x, y] by np.take, one leading index at a time where y varies on an axis at or before x's last."""
     vx = [d for d, n in enumerate(x.shape) if n > 1]
     vy = [d for d, n in enumerate(y.shape) if n > 1]
-    if vx and vy and vy[-1] < vx[0]:  # out is the (y cell, x cell) grid
-        grid, step = out.reshape(y.size, x.size), max(1, (1 << 16) // x.size)
-        for lo in range(0, y.size, step):
-            block = np.empty((x.size, min(step, y.size - lo)), out.dtype)
-            _take(table, x.reshape(-1, 1), y.reshape(1, -1)[:, lo:lo + step], block)
-            grid[lo:lo + step] = block.T
-    elif vx and vy and vx[-1] >= vy[0]:
+    if vx and vy and vx[-1] >= vy[0]:
         for i in range(len(out)):  # an operand of length 1 on the leading axis broadcasts
             _take(table, x[i % len(x)], y[i % len(y)], out[i])
     else:  # x varies only on axes before y's, so out is the (x cell, y cell) grid in C order;
@@ -163,15 +153,15 @@ def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> N
             np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
 
 
-# name -> (arity, needs_mul, equation), the equation an (lhs, rhs) pair of sides
+# name -> (arity, needs_mul, equation): an (lhs, rhs) pair of sides, None for a law that holds by construction
 _LAWS = {
-    "commutativity-add": (2, False, (("add", "a", "b"), ("add", "b", "a"))),
-    "commutativity-mul": (2, True, (("mul", "a", "b"), ("mul", "b", "a"))),
+    "commutativity-add": (2, False, None),
+    "commutativity-mul": (2, True, None),
     "assoc-add": (3, False, (("add", ("add", "a", "b"), "c"), ("add", "a", ("add", "b", "c")))),
     "assoc-mul": (3, True, (("mul", ("mul", "a", "b"), "c"), ("mul", "a", ("mul", "b", "c")))),
     "distributivity": (3, True, (("mul", "a", ("add", "b", "c")), ("add", ("mul", "a", "b"), ("mul", "a", "c")))),
-    "neutral-zero": (1, False, (("add", "a", 0), "a")),  # 0 + a is the mirrored cell
-    "neutral-one": (1, True, (("mul", "a", 1), "a")),  # and so is 1 * a
+    "neutral-zero": (1, False, None),
+    "neutral-one": (1, True, None),
 }
 ALL_LAWS = tuple(_LAWS)
 LAW_NAMES = ALL_LAWS + ("archimedean", "theorem-archimedean-mll")  # every row check_laws reports
@@ -197,7 +187,7 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     arity, needs_mul, equation = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equation, _extents(arith, equation, upper, arity, law in _TRANSPOSED)
+    return arity, equation, _extents(arith, equation, upper, arity, law in _TRANSPOSED) if equation else {}
 
 
 def _chunks(arith: Arithmetic, arity: int, equation, extents: dict, n: int):
@@ -212,7 +202,7 @@ def _chunks(arith: Arithmetic, arity: int, equation, extents: dict, n: int):
     buffers, mask_buffer = (np.empty(cells, np.int32), np.empty(cells, np.int32)), np.empty(cells, bool)
     for lo in range(0, n, rows):
         axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
-        left, right = (_side(gather, arith, side, axes, buffer) for side, buffer in zip(equation, buffers))
+        left, right = (_side(gather, side, axes, buffer) for side, buffer in zip(equation, buffers))
         shape = np.broadcast_shapes(left.shape, right.shape)  # the chunk's own prefix of the buffer, so no stale cell
         mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
         yield mask, 1, (lo,) + (0,) * (arity - 1)
@@ -260,15 +250,17 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
     Associativity is scanned in tiles (_tiles).  pairs_checked is still
-    (R+1)^3: the op tables' symmetry (see the module docstring) decides the
-    mirrored half.  The other laws scan in chunks (_chunks), computing an op
-    with no table chunk by chunk.
+    (R+1)^3: commutativity decides the mirrored half.  Distributivity scans
+    in chunks (_chunks), computing an op with no table chunk by chunk.  A law
+    without an equation holds by construction (see the module docstring).
     """
     plan = _plan(arith, law, upper)
     if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
     arity, equation, extents = plan
     n, op = upper + 1, _TRANSPOSED.get(law)
+    if equation is None:
+        return LawReport(law, HOLDS, None, upper, n ** arity, 0)
     masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equation, extents, n)
     count, cell = _fold(masks, n)
     witness = cell and tuple(arith.carrier.value_at(i) for i in cell)

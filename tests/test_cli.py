@@ -423,6 +423,19 @@ _repl_lines = st.lists(
     max_size=6)
 
 
+def test_float_zero_beside_exact_ints_is_neutral(tmp_path, capsys):
+    # f(2) = 2^53 + 1 rounds to 2^53 in a float sum: with f(0) kept as 0.0, 2 + 0 printed 1
+    path = tmp_path / "mixed.tbl"
+    path.write_text("0 0.0\n1 1\n2 9007199254740993\n3 1152921504606846976\n")
+    spec = f"projective:table:{path}@int:0:3"
+    assert cli.main(["eval", spec, "2 + 0"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert cli.main(["--format", "json", "laws", spec, "--check", "neutral-zero", "-R", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "holds"
+    a = Arithmetic.from_spec(spec)
+    assert [a.add_index(i, 0) for i in range(4)] == [a.add_index(0, i) for i in range(4)] == [0, 1, 2, 3]
+
+
 @pytest.fixture(scope="module")
 def table_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("tables")

@@ -187,6 +187,24 @@ class TestValidate:
         # 1.0 lies on this grid and f(1.0) = 1.0
         assert validate(from_spec("id"), GRID).multiplicative
 
+    @pytest.mark.parametrize("one", [1 - 1e-13, 1 + 2 ** -52])
+    def test_multiplication_needs_f_of_one_exactly_one(self, one):
+        # 1 would not be neutral: projective a * 1 rounds below a where f(1) < 1, dual above a where f(1) > 1
+        f = FunctionalParameter("table:test", TABLE, points=((0, 0), (1, one), (2, 2), (3, 3)))
+        report = validate(f, Carrier.integers(3))
+        assert report.ok and not report.multiplicative
+        assert report.message() == "pass (4 points, multiplication unavailable)"
+
+    @pytest.mark.parametrize("points, kept", [
+        (((0, 0.0), (1, 1.0), (2, 2 ** 53 + 1)), [0, 1, 2 ** 53 + 1]),  # float 0 and 1 beside an int become ints
+        (((0, 0.0), (1, 1.0), (2, 2.5)), [0.0, 1.0, 2.5]),  # all floats: kept
+        (((0, 0.0), (1, 1.5), (2, 3)), [0, 1.5, 3]),  # f(1) != 1: kept
+    ])
+    def test_bind_stores_float_zero_and_one_as_ints_beside_an_int(self, points, kept):
+        report, values = bind(FunctionalParameter("table:test", TABLE, points=points), Carrier.integers(2))
+        assert report.ok and report.multiplicative == (points[1][1] == 1)
+        assert [(type(v), v) for v in values] == [(type(v), v) for v in kept]
+
 
 class TestLoadTable(object):
     def _write(self, tmp_path, text):
