@@ -17,7 +17,8 @@ point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
 
 Validation happens once, at binding time; evaluation afterwards is total.
 Where any f value is an int, bind stores a float f(0) = 0.0 or f(1) = 1.0 as
-the int, so f(a) + f(0) and f(a) * f(1) are f(a) exactly (see laws).
+the int, so f(a) + f(0) and f(a) * f(1) are f(a) exactly (see laws), and
+refuses an int past the float range beside a float value, as their sum raises.
 """
 
 from __future__ import annotations
@@ -223,6 +224,10 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, li
         values[0] = 0
         if multiplicative:
             values[one] = 1
+        big = bisect_left(values, 2 ** 1024 - 2 ** 970)  # the least int that float() refuses, as a sum with a float does
+        if big < len(values) and values[big] != math.inf and float in map(type, values):
+            return _failure(big, f"f({carrier.value_at(big)}) is an int past the float range beside float values",
+                            carrier.size), values
     return ValidationReport(True, multiplicative, carrier.size), values
 
 

@@ -26,8 +26,10 @@ min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the cube
 passes MAX_SCAN_CELLS.  Reports give holds / fails / not-applicable, the exact
 violation count and the smallest counterexample: least largest component, then
 lexicographic, which is the first violation in C order of the least cube
-[0..k]^arity that holds one.  check_laws also reports the Archimedean rows
-(each O(R), from the sums s + 1), their extra fields as details.
+[0..k]^arity that holds one.  check_laws also reports the Archimedean rows,
+their extra fields as details.  Both read one index_table column, s + 1 for s
+in [1, R), up to its least fixed point b (_stuck); the theorem holds by
+construction, as both of its sides come down to whether b exists.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -42,14 +44,12 @@ from functools import partial, reduce
 import numpy as np
 
 from .arith import Arithmetic
-from .errors import CarrierExhaustedError
 
 HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 CONSISTENT = "consistent"
-INCONSISTENT = "inconsistent"
 
 # Cells in one chunk of a scan (9 bytes each), and in the largest op table (4 bytes each)
 MAX_SCAN_CELLS = 32_000_000
@@ -75,14 +75,6 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _clamped(arith: Arithmetic, op: str, i: int, j: int) -> int:
-    """add_index / mul_index with a dual sum past f(top) clamped to the top, as op tables do."""
-    try:
-        return arith.add_index(i, j) if op == "add" else arith.mul_index(i, j)
-    except CarrierExhaustedError:
-        return arith.carrier.size - 1
-
-
 def _side(apply, side, axes, buffer=None):
     """One side of an equation (an axis name or (op, side, side)) under apply(op, x, y, buffer).
 
@@ -100,7 +92,7 @@ def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = 
 
     def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
         extents[op] = max(extents.get(op, 0), int(i), int(j))
-        return _clamped(arith, op, int(i), int(j))
+        return int(arith.index_table(op, i, j))  # a dual sum past f(top) clamped to the top, as op tables do
 
     for side in equation:
         _side(corner, side, (upper,) * 3)
@@ -271,8 +263,8 @@ def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int
     """The report of each of LAW_NAMES in names, in order, each op table built once, at the largest extent needed.
 
     Every name is validated, and an oversize scan refused, before any table is
-    built.  The Archimedean search runs at most once.  Each scan allocates its
-    own chunk buffers, so nothing outlives the call but the memoised op tables.
+    built.  Each scan allocates its own chunk buffers, so nothing outlives the
+    call but the memoised op tables.
     """
     if unknown := [name for name in names if name not in LAW_NAMES]:
         raise ValueError(f"unknown law {unknown[0]!r}; choose from {', '.join(LAW_NAMES)}")
@@ -283,14 +275,20 @@ def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int
             if extent is not None:
                 extents[op] = max(extents.get(op, 0), extent)
     _tables(arith, extents)
-    reports, archimedean = [], None
-    for law in names:
-        if law in _LAWS:
-            reports.append(check_law(arith, law, upper))
-            continue
-        archimedean = archimedean or check_archimedean(arith, upper)  # passed to the theorem, not searched in it
-        reports.append(archimedean if law == "archimedean" else verify_archimedean_theorem(arith, upper, archimedean))
-    return reports
+    return [check_law(arith, law, upper) if law in _LAWS else
+            check_archimedean(arith, upper) if law == "archimedean" else
+            verify_archimedean_theorem(arith, upper) for law in names]
+
+
+def _stuck(arith: Arithmetic, upper: int) -> int | None:
+    """Least b in [1, R) with b + 1 = b, or None: index_table in op_table's blocks of some 64K cells, to the first hit."""
+    _check_upper(arith, upper)
+    for lo in range(1, upper, 1 << 16):
+        b = np.arange(lo, min(upper, lo + (1 << 16)))
+        stuck = np.flatnonzero(arith.index_table("add", b, 1) == b)
+        if stuck.size:
+            return lo + int(stuck[0])
+    return None
 
 
 def check_archimedean(arith: Arithmetic, upper: int) -> LawReport:
@@ -299,37 +297,25 @@ def check_archimedean(arith: Arithmetic, upper: int) -> LawReport:
     Only a fixed point below R (the report's detail) gives a witness (m, n),
     n = the fixed point + 1; the saturated top is none, as its sums may have
     kept growing on a larger carrier.  Add is monotone and s + m >= s, so
-    s + m = s forces s + 1 = s: the sums of 1, which stay at or below every
-    fixed point of s -> s + 1, stop first, and are the only ones followed, up
-    to R.  pairs_checked counts the m decided: 1 where it fails, R where it holds.
+    s + m = s forces s + 1 = s, and the sums of 1 climb to exactly the least
+    such s, b (_stuck): below it s < s + 1 <= b + 1 = b.  pairs_checked counts
+    the m decided, 1 where it fails, R where it holds.
     """
-    _check_upper(arith, upper)
-    value, s = arith.carrier.value_at, 1
-    while s < upper:  # at most R - 1 sums; a dual sum past the window stops at the top
-        nxt = _clamped(arith, "add", s, 1)
-        if nxt == s:
-            return LawReport("archimedean", FAILS, (value(1), value(s + 1)), upper, 1, None, (("fixed_point", value(s)),))
-        s = nxt
-    return LawReport("archimedean", HOLDS, None, upper, upper, None, (("fixed_point", None),))
+    b, value = _stuck(arith, upper), arith.carrier.value_at
+    if b is None:
+        return LawReport("archimedean", HOLDS, None, upper, upper, None, (("fixed_point", None),))
+    return LawReport("archimedean", FAILS, (value(1), value(b + 1)), upper, 1, None, (("fixed_point", value(b)),))
 
 
-def verify_archimedean_theorem(arith: Arithmetic, upper: int, archimedean: LawReport | None = None) -> LawReport:
-    """Check Archimedean <=> (a << b only for a = 0), both sides computed.
+def verify_archimedean_theorem(arith: Arithmetic, upper: int) -> LawReport:
+    """Check Archimedean <=> (a << b only for a = 0); holds by construction.
 
-    archimedean is check_archimedean(arith, upper) where the caller has it
-    already; it is computed here otherwise.  a << b counts only where b < R,
-    as only a fixed point below R is an Archimedean witness.  Holds where the
-    sides agree; the witness is the least (a, b) with a << b and a > 0: b + a = b
-    forces b + 1 = b (see check_archimedean), so it is (1, the least such b), read
-    off index_table, not the scalar sums.  pairs_checked counts the (R+1)^2 cells decided.
+    a << b counts only where b < R, as only a fixed point below R is an
+    Archimedean witness.  b + a = b forces b + 1 = b (see check_archimedean),
+    so the least (a, b) with a << b and a > 0, the witness, is (1, the least
+    such b), the b at which the sums of 1 get stuck.  Either side is thus
+    whether that b exists.  pairs_checked counts the (R+1)^2 cells decided.
     """
-    _check_upper(arith, upper)
-    if archimedean is None:
-        archimedean = check_archimedean(arith, upper)
-    value, n, absorbers = arith.carrier.value_at, upper + 1, np.arange(1, upper)
-    stuck = np.flatnonzero(arith.index_table("add", absorbers, 1) == absorbers)
-    mll_witness = (value(1), value(int(stuck[0]) + 1)) if stuck.size else None
-    is_archimedean = archimedean.status == HOLDS
-    consistent = is_archimedean == (mll_witness is None)
-    return LawReport("theorem-archimedean-mll", HOLDS if consistent else FAILS, mll_witness, upper, n * n, None,
-                     (("consistency", CONSISTENT if consistent else INCONSISTENT), ("archimedean", is_archimedean)))
+    b, value = _stuck(arith, upper), arith.carrier.value_at
+    return LawReport("theorem-archimedean-mll", HOLDS, None if b is None else (value(1), value(b)), upper,
+                     (upper + 1) ** 2, None, (("consistency", CONSISTENT), ("archimedean", b is None)))

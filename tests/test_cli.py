@@ -1,7 +1,6 @@
 """Exit-code contract of the ``nda`` command line, driven through cli.main(argv)."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -10,6 +9,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,8 +30,11 @@ def _default_format(monkeypatch):
     ["series", "practical", "powfact:1000", "-K", "10"],
 ], ids=["laws-R-negative", "laws-R-beyond-carrier", "laws-oversize-scan", "series-sum-n-0", "series-practical-K-10"])
 def test_out_of_range_arguments_are_usage_errors(argv, monkeypatch, capsys):
-    def no_table(*args):
-        raise AssertionError("an op table was built for a refused scan")
+    index_table = Arithmetic.index_table
+
+    def no_table(self, op, rows, cols):  # the one-cell corner that sizes a scan's tables is all it may compute
+        assert np.broadcast(rows, cols).size == 1, "an op table was built for a refused scan"
+        return index_table(self, op, rows, cols)
 
     monkeypatch.setattr(Arithmetic, "index_table", no_table)  # a refused op table is never allocated
     assert cli.main(argv) == 1
@@ -132,7 +135,7 @@ def test_overlong_literal_is_a_parse_error(capsys):
 
 
 @pytest.mark.parametrize("spec", ["projective:pow:1.5@int:0:1000", "dual:pow:2@int:0:1000"])
-def test_archimedean_scan_runs_once_per_audit(spec, monkeypatch, capsys):
+def test_audit_archimedean_rows_are_the_standalone_reports(spec, monkeypatch, capsys):
     upper = 30
     a = Arithmetic.from_spec(spec)
     expected = [cli._law_record(laws.check_archimedean(a, upper)),
@@ -142,28 +145,8 @@ def test_archimedean_scan_runs_once_per_audit(spec, monkeypatch, capsys):
     monkeypatch.setattr(laws, "check_archimedean", lambda *args: calls.append(args) or scan(*args))
     assert cli.main(["--format", "json", "laws", spec, "--check", "all", "-R", str(upper)]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(calls) == 1
+    assert len(calls) == 1  # by the archimedean row only: the theorem reads the sums of 1 itself
     assert records[-2:] == json.loads(json.dumps(expected))
-
-
-@pytest.mark.parametrize("spec, lie, line", [
-    # pow:2 rounds sqrt(1 + 1) down to 1, so 1 << 1 and the sums of 1 stop: claimed Archimedean all the same
-    ("projective:pow:2@int:0:200", laws.HOLDS, '{"law": "theorem-archimedean-mll", "status": "fails", "witness": [1, 1], '
-     '"range": "0..150", "pairs_checked": 22801, "violations": null, "consistency": "inconsistent", "archimedean": true}'),
-    # dual:quad absorbs nothing: claimed not Archimedean all the same
-    ("dual:quad@int:0:200", laws.FAILS, '{"law": "theorem-archimedean-mll", "status": "fails", "witness": null, '
-     '"range": "0..150", "pairs_checked": 22801, "violations": null, "consistency": "inconsistent", "archimedean": false}'),
-])
-def test_theorem_fails_against_an_archimedean_report_that_contradicts_the_scan(spec, lie, line, capsys):
-    a, upper = Arithmetic.from_spec(spec), 150
-    truth = laws.check_archimedean(a, upper)
-    assert truth.status != lie
-    report = laws.verify_archimedean_theorem(a, upper, dataclasses.replace(truth, status=lie))
-    assert report.status == laws.FAILS
-    assert report.details == (("consistency", laws.INCONSISTENT), ("archimedean", lie == laws.HOLDS))
-    assert report.witness == laws.verify_archimedean_theorem(a, upper).witness  # the same scan of a << b
-    cli._emit_records([cli._law_record(report)], cli._LAW_COLUMNS, "json")
-    assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize("spec", ["id@grid:0:1:nan", "id@grid:0:inf:1", "id@grid:0:1:1e-300"],
@@ -434,6 +417,35 @@ def test_float_zero_beside_exact_ints_is_neutral(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "holds"
     a = Arithmetic.from_spec(spec)
     assert [a.add_index(i, 0) for i in range(4)] == [a.add_index(0, i) for i in range(4)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("rows, index", [
+    (["0 0", "1 1", "2 2.5", f"3 {2 ** 1100}"], 3),
+    (["0 0", "1 1", f"2 {2 ** 1024 - 2 ** 970}", "3 inf"], 2),  # the least int that float() refuses, then +inf
+], ids=["float-below", "inf-above"])
+@pytest.mark.parametrize("command", [
+    ["validate", "table:{path}@int:0:3"],
+    ["eval", "projective:table:{path}@int:0:3", "3 + 2"],
+    ["laws", "dual:table:{path}@int:0:3"],
+    ["series", "sum", "projective:table:{path}@int:0:3", "const:2", "-n", "3"],
+], ids=["validate", "eval", "laws", "series-sum"])
+def test_int_past_the_float_range_beside_a_float_is_refused(rows, index, command, tmp_path, capsys):
+    # their sum raised OverflowError: eval and laws ended in a traceback, and validate passed the table
+    path = tmp_path / "overflow.tbl"
+    path.write_text("\n".join(rows) + "\n")
+    assert cli.main([arg.format(path=path) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert f"fail at index {index}: f({index}) is an int past the float range beside float values" in \
+        (captured.out if command[0] == "validate" else captured.err)
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_int_past_the_float_range_binds_beside_a_float_zero(tmp_path):
+    # bind stores f(0) = 0.0 as the int 0, so no float is left beside 2^1100
+    path = tmp_path / "zero.tbl"
+    path.write_text(f"0 0.0\n1 1\n2 {2 ** 1100}\n")
+    a = Arithmetic.from_spec(f"projective:table:{path}@int:0:2")
+    assert a.add_index(2, 1) == 2 and a.add_index(2, 2) == 2
 
 
 @pytest.fixture(scope="module")
