@@ -11,20 +11,24 @@ two kinds differing only in how the backwards step rounds onto the carrier:
   (``index_table``) clamp it to the top instead, the finite-window view that
   law scans use.
 
-No numeric inverse of f is ever computed: the memoised f values form a
-strictly increasing array and every operation is a search over it, decided
-by exact comparisons.  Single operations bisect the Python list; whole
-tables of operations (``index_table``) run one ``np.searchsorted`` over an
-array of the same values where float64 or int64 holds every value and
-target exactly.  Over exact Python numbers (ints past int64, or ints mixed
-with floats) a float64 log2 key of each target only ranks a candidate
-index: exact comparisons with f there and at its neighbour confirm it or
-move it one index, twice at most, and the cells still unbracketed go to
-the exact ``np.searchsorted``, so float64 never decides a cell.  ``op_table``
-memoises one such table per operation over a square of leading indices,
-built as its upper triangle in row blocks, each mirrored into the lower
-triangle: f(i) + f(j) and f(i) * f(j) commute in float64, int64 and exact
-Python numbers alike, and so do the zero mask and the search that follows.
+No numeric inverse of f is ever computed: the f values bind returns form
+a strictly increasing array, the arithmetic's one copy of f, and every
+operation is a search over it, decided by exact comparisons.  Single
+operations bisect a Python list of the same values and types, built from
+the array by tolist() on the first of them, so a law audit never builds
+it.  Whole tables of operations (``index_table``) run one
+``np.searchsorted`` over the array where its dtype holds every target of
+the op exactly: float64 always, int64 for add while 2 f(top) < 2^63 and
+for mul while f(top)^2 < 2^63.  Over exact Python numbers (ints past
+that, or ints mixed with floats) a float64 log2 key of each target only
+ranks a candidate index: exact comparisons with f there and at its
+neighbour confirm it or move it one index, twice at most, and the cells
+still unbracketed go to the exact ``np.searchsorted``, so float64 never
+decides a cell.  ``op_table`` memoises one such table per operation over a
+square of leading indices, built as its upper triangle in row blocks, each
+mirrored into the lower triangle: f(i) + f(j) and f(i) * f(j) commute in
+float64, int64 and exact Python numbers alike, and so do the zero mask and
+the search that follows.
 Extended reals participate: +inf is an absorbing target and the projective
 search maps it to the top element.
 """
@@ -61,14 +65,15 @@ class Arithmetic:
     def __init__(self, carrier: Carrier, f: FunctionalParameter, kind: str):
         if kind not in (PROJECTIVE, DUAL):
             raise SpecError(f"kind must be {PROJECTIVE!r} or {DUAL!r}, got {kind!r}")
-        report, fvals = bind(f, carrier)
+        report, values = bind(f, carrier)
         if not report.ok:
             raise ValidationError(f"f {f.name!r} rejected on {carrier.spec}: {report.message()}")
         self.carrier = carrier
         self.f = f
         self.kind = kind
         self.multiplicative = report.multiplicative
-        self._fvals = fvals
+        self._f_array = values
+        self._fvals: list = []  # the values as Python numbers for the scalar ops, built by the first of them
         self._op_tables: dict[str, np.ndarray] = {}
 
     @classmethod
@@ -93,8 +98,12 @@ class Arithmetic:
     # index-level core (used by law scans, expressions and folds; values derive from these)
     # ------------------------------------------------------------------
 
-    def _locate(self, target) -> int:
-        fv = self._fvals
+    def _python_values(self) -> list:
+        # a plain attribute, not a cached_property, whose shadowed descriptor slows each read by some 20 ns
+        self._fvals = self._f_array.tolist()
+        return self._fvals
+
+    def _locate(self, target, fv: list) -> int:
         if self.kind == PROJECTIVE:
             # greatest v with f(v) <= target; target >= f(0) = 0 always
             return bisect_right(fv, target) - 1
@@ -104,20 +113,25 @@ class Arithmetic:
                 f"target {target} exceeds f(top) = {fv[-1]} on {self.carrier.spec}")
         return i
 
+    def _op_values(self, op: str) -> np.ndarray:
+        """The f values op's table searches: the bound array wherever its dtype holds every target exactly."""
+        fv = self._f_array
+        if fv.dtype == np.int64 and (2 * int(fv[-1]) if op == "add" else int(fv[-1]) ** 2) >= 2 ** 63:
+            return self._f_objects
+        return fv
+
     @cached_property
-    def _f_array(self) -> np.ndarray:
-        # float64 and int64 only where every value and every target is exact
-        fv = self._fvals
-        if all(isinstance(v, float) for v in fv):
-            return np.array(fv, dtype=np.float64)
-        if all(isinstance(v, int) for v in fv) and fv[-1] ** 2 < 2 ** 63:
-            return np.array(fv, dtype=np.int64)
-        return np.array(fv, dtype=object)
+    def _f_objects(self) -> np.ndarray:
+        return self._f_array.astype(object, copy=False)  # Python numbers, whose int sums and products are exact
 
     @cached_property
     def _f_log2(self) -> np.ndarray:
-        # float64 keys that rank an object search's candidates, built on its first table
-        return np.array([log2(v) if v else -inf for v in self._fvals])
+        # float64 keys that rank an object search's candidates, built on its first table; float() refuses an
+        # int from 2^1024 - 2^970 on, and past it bind keeps only ints (and +inf at the top), as math.log2 takes
+        fv = self._f_objects
+        big = int(np.searchsorted(fv, 2 ** 1024 - 2 ** 970))
+        with np.errstate(divide="ignore"):  # log2 0 is -inf
+            return np.concatenate([np.log2(fv[:big].astype(np.float64)), np.fromiter(map(log2, fv[big:]), float)])
 
     def _search(self, fv: np.ndarray, target) -> np.ndarray:
         if self.kind == PROJECTIVE:
@@ -169,11 +183,11 @@ class Arithmetic:
         """
         if op == "mul":
             self._require_mul()
-        fv = self._f_array
+        fv = self._op_values(op)
         x, y = fv[rows], fv[cols]
         if op == "add":
             target = x + y
-        elif self._fvals[-1] == inf:
+        elif fv[-1] == inf:
             with np.errstate(invalid="ignore"):  # inf * 0 is masked to 0 below
                 target = np.where((x == 0) | (y == 0), 0, x * y)
         else:
@@ -201,12 +215,13 @@ class Arithmetic:
         return table[:extent + 1, :extent + 1]
 
     def add_index(self, i: int, j: int) -> int:
-        fv = self._fvals
-        return self._locate(fv[i] + fv[j])
+        fv = self._fvals or self._python_values()
+        return self._locate(fv[i] + fv[j], fv)
 
     def sub_index(self, i: int, j: int) -> int:
         """a (-) b, clamped at 0; an extension, not part of either family's core."""
-        fa, fb = self._fvals[i], self._fvals[j]
+        fv = self._fvals or self._python_values()
+        fa, fb = fv[i], fv[j]
         if isinstance(fb, float) and isinf(fb):
             # f(b) = +inf only at the top; inf - inf and finite - inf clamp to 0
             target = 0
@@ -214,7 +229,7 @@ class Arithmetic:
             target = fa - fb
         if target < 0:
             target = 0
-        return self._locate(target)
+        return self._locate(target, fv)
 
     def _require_mul(self) -> None:
         if not self.multiplicative:
@@ -223,9 +238,10 @@ class Arithmetic:
 
     def mul_index(self, i: int, j: int) -> int:
         self._require_mul()
-        fa, fb = self._fvals[i], self._fvals[j]
+        fv = self._fvals or self._python_values()
+        fa, fb = fv[i], fv[j]
         target = 0 if (fa == 0 or fb == 0) else fa * fb  # avoids inf * 0
-        return self._locate(target)
+        return self._locate(target, fv)
 
     # ------------------------------------------------------------------
     # value-level operations (expressions evaluate on indices, see exprlang)

@@ -29,7 +29,8 @@ REAL_GRID = "real-grid"
 GRID_TOLERANCE = 1e-9
 
 # Points in a carrier, checked before any f is bound on it (binding keeps one
-# Python value a point): a float f such as pow:1.5 binds 2^22 in some 4 s and 200 MB
+# array element a point, a Python number for an exact f past int64): a float f
+# such as pow:1.5 binds 2^22 in some 0.45 s at a 93 MB peak RSS on a 2-vCPU x86-64
 MAX_SIZE = 1 << 22
 
 

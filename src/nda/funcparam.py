@@ -6,14 +6,25 @@ on integer carriers (identity, integral powers, exp2m1, quad) are evaluated
 in exact integer arithmetic so order comparisons never suffer float
 truncation.  artanh is defined by _atanh_scaled: mpmath's low-level libmp
 kernel at 136 bits (40 decimal digits), rounded to the nearest double, so
-each memoised value is the correctly rounded double.  bind evaluates it a
-block of ATANH_BLOCK points at a time with one long-double np.arctanh and
-keeps a point's rounding to double where a rounding test shows it cannot
-differ from _atanh_scaled's (see _atanh_block); libmp settles only the
-points left in doubt, 2-7% of a fine grid, and is loaded on the first
-of them, not by ``import nda``.  Grid points are rounded too, so velocity
-addition (u+v)/(1+uv) can land one point low where its exact sum is a grid
-point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
+each bound value is the correctly rounded double.  Grid points are rounded
+too, so velocity addition (u+v)/(1+uv) can land one point low where its
+exact sum is a grid point: 0.35 (+) 0.625 is 0.799 on grid:0:1:0.001.
+
+bind evaluates f at every carrier point into one array and validates that
+array with numpy; only a table f runs Python code per point.  The carrier
+values come from np.arange; the integer families from int64 arithmetic, or
+from Python ints in an object array where f(top) passes 2^63; other powers
+and exp2m1 from math.pow mapped by np.fromiter, so each value is
+bit-identical to evaluate's; a table from evaluate, point by point, as a
+table is small (2,000 points bind in some 2.5 ms, as long as reading their
+file takes).  artanh takes one long-double np.arctanh per ATANH_BLOCK
+points, which bounds its temporaries, and keeps a point's rounding to
+double where a rounding test shows it cannot differ from _atanh_scaled's
+(see _atanh_block); libmp settles only the points left in doubt, 2-7% of a
+fine grid, and is loaded on the first of them, not by ``import nda``.  The
+array is int64 or float64 where that dtype holds every value exactly and
+every value has that Python type, and object otherwise (ints past int64, or
+ints beside floats), so its tolist() is evaluate's values with their types.
 
 Validation happens once, at binding time; evaluation afterwards is total.
 Where any f value is an int, bind stores a float f(0) = 0.0 or f(1) = 1.0 as
@@ -27,10 +38,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
+from operator import length_hint
 
 import numpy as np
 
-from .carrier import GRID_TOLERANCE, Carrier
+from .carrier import GRID_TOLERANCE, INTEGER_RANGE, Carrier
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
 
 IDENTITY = "identity"
@@ -43,7 +56,7 @@ TABLE = "table"
 # bits of artanh's working precision: what mpmath.workdps(40) sets
 ATANH_PREC = 136
 
-# carrier points of one long-double artanh evaluation in bind
+# carrier points of one long-double artanh evaluation in bind: each of its temporaries takes 64 KB
 ATANH_BLOCK = 4096
 
 # K of _atanh_block's rounding test.  np.arctanh on long doubles (glibc's
@@ -63,25 +76,20 @@ class FunctionalParameter:
 
     def evaluate(self, v: int | float) -> int | float:
         """f(v); deterministic, bit-identical for identical v."""
-        if self.family == IDENTITY:
-            return v
-        if self.family == POWER:
-            p = self.param
-            if isinstance(v, int) and float(p).is_integer():
-                return v ** int(p)
-            return math.pow(v, p)
-        if self.family == EXP2M1:
-            if isinstance(v, int):
-                return (1 << v) - 1
-            return math.pow(2.0, v) - 1.0
-        if self.family == QUAD:
-            if isinstance(v, int):
-                return (v + v * v) // 2
-            return (v + v * v) / 2.0
-        if self.family == ATANH:
-            return _atanh_scaled(v, self.param)
         if self.family == TABLE:
             return self._table_lookup(v)
+        if self.family == ATANH:
+            return _atanh_scaled(v, self.param)
+        if self.family == IDENTITY:
+            return v
+        if isinstance(v, int) and _is_exact(self.family, self.param):
+            return _exact(self.family, self.param, v)
+        if self.family == POWER:
+            return math.pow(v, self.param)
+        if self.family == EXP2M1:
+            return math.pow(2.0, v) - 1.0
+        if self.family == QUAD:
+            return (v + v * v) / 2.0
         raise SpecError(f"unknown f family {self.family!r}")
 
     @cached_property
@@ -100,6 +108,22 @@ class FunctionalParameter:
         return self.name
 
 
+def _is_exact(family: str, p: float | None) -> bool:
+    """Whether f takes exact int values at int points: id, quad, exp2m1 and integral powers."""
+    return family in (IDENTITY, EXP2M1, QUAD) or family == POWER and float(p).is_integer()
+
+
+def _exact(family: str, p: float | None, v):
+    """f(v) for an exact family (see _is_exact), on a Python int or on an int64 or object array alike."""
+    if family == POWER:
+        return v ** int(p)
+    if family == EXP2M1:
+        return (1 << v) - 1
+    if family == QUAD:
+        return (v + v * v) // 2
+    return v
+
+
 def _atanh_scaled(v: float, c: float) -> float:
     """artanh(v/c), correctly rounded to double; +inf at and beyond v = c.
 
@@ -116,8 +140,8 @@ def _atanh_scaled(v: float, c: float) -> float:
     return libmp.to_float(libmp.mpf_atanh(x, ATANH_PREC, "n"), rnd="n")  # to_float rounds down by default
 
 
-def _atanh_block(points: list, c: float) -> list[float]:
-    """[_atanh_scaled(v, c) for v in points], from one long-double arctanh.
+def _atanh_block(points: np.ndarray, c: float) -> np.ndarray:
+    """_atanh_scaled(v, c) at each v of points, from one long-double arctanh.
 
     With x = v/c and y = arctanh(x) in long double, the exact artanh(v/c)
     lies within ATANH_ERROR * eps_ld * (|y| + |x| / (1 - x^2)) of y: the
@@ -131,24 +155,16 @@ def _atanh_block(points: list, c: float) -> list[float]:
     """
     ld = np.longdouble
     with np.errstate(divide="ignore", invalid="ignore"):  # v >= c gives x >= 1 and a non-finite y
-        x = np.array(points, dtype=ld) / ld(c)
+        x = points.astype(ld) / ld(c)
         y = np.arctanh(x)
         spread = np.abs(y) if math.frexp(c)[0] == 0.5 else np.abs(y) + np.abs(x) / ((1 - x) * (1 + x))
         margin = ATANH_ERROR * np.finfo(ld).eps * spread
         d = y.astype(np.float64)
         below = (d + np.nextafter(d, -np.inf).astype(ld)) / 2  # exact: two adjacent doubles fit a long double
         above = (d + np.nextafter(d, np.inf).astype(ld)) / 2
-        unsure = ~np.isfinite(y) | ~(y - below > margin) | ~(above - y > margin)
-    values = d.tolist()
-    for i in np.flatnonzero(unsure).tolist():
-        values[i] = _atanh_scaled(points[i], c)
-    return values
-
-
-def _atanh_blocks(c: float, carrier: Carrier):
-    """_atanh_scaled(v, c) at each carrier point v in order, evaluated ATANH_BLOCK points at a time."""
-    for lo in range(0, carrier.size, ATANH_BLOCK):
-        yield from _atanh_block([carrier.value_at(i) for i in range(lo, min(lo + ATANH_BLOCK, carrier.size))], c)
+        unsure = np.flatnonzero(~np.isfinite(y) | ~(y - below > margin) | ~(above - y > margin))
+    d[unsure] = [_atanh_scaled(v, c) for v in points[unsure].tolist()]  # tolist: value_at's int or float
+    return d
 
 
 @cache
@@ -187,52 +203,116 @@ class ValidationReport:
         return f"fail at index {self.failure_index}: {self.reason}"
 
 
-def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, list]:
-    """Validate f over every carrier point and return (report, memoised values).
+def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, np.ndarray]:
+    """Validate f over every carrier point and return (report, bound values).
 
-    The memo list is the single source of truth for the arithmetic built on
-    top of it: all rounding searches run against these values.
+    The values are the single source of truth for the arithmetic built on
+    top of them: all rounding searches run against them.  They are int64 or
+    float64 where that dtype holds every value exactly and every value has
+    that Python type, and object (exact Python numbers) otherwise.  A
+    rejected f returns the values before the failing check's point.
     """
-    values: list = []
-    blocks = _atanh_blocks(f.param, carrier) if f.family == ATANH else None
-    for i in range(carrier.size):
-        v = carrier.value_at(i)
-        try:
-            fv = f.evaluate(v) if blocks is None else next(blocks)
-        except (ValidationError, ValueError, OverflowError) as exc:
-            return _failure(i, f"f undefined at {v}: {exc}", i), values
-        if fv != fv:  # NaN
-            return _failure(i, f"f({v}) is NaN", i), values
-        if i == 0:
-            if fv != 0:
-                return _failure(0, f"f(0) must be 0 exactly, got {fv}", 1), values
-        else:
-            if values[-1] == math.inf:  # exact for an int past 2^1024, which isinf would convert to float
-                return _failure(i - 1, "f reaches +inf before the top element", i), values
-            if not fv > values[-1]:
-                # blame the first index of the violating pair (i-1, i)
-                return _failure(i - 1, f"not strictly increasing: f({v}) = {fv} <= f(prev) = {values[-1]}", i + 1), values
-        if fv < 0:
-            return _failure(i, f"f({v}) = {fv} is negative", i + 1), values
-        values.append(fv)
+    values, undefined = _evaluate(f, carrier)
+    failed = _first_failing_point(values)
+    if failed is not None:
+        return _failure_at(values, carrier, failed), values[:failed]
+    if undefined is not None:
+        i, exc = undefined
+        return _failure(i, f"f undefined at {carrier.value_at(i)}: {exc}", i), values
     try:
         one = carrier.index_of(1)  # multiplication needs the carrier value 1
     except OffCarrierError:
         one = None
-    multiplicative = one is not None and values[one] == 1
-    if int in map(type, values):  # a float 0 or 1 beside an exact int would round f(a) + f(0) or f(a) * f(1)
-        values[0] = 0
-        if multiplicative:
-            values[one] = 1
-        big = bisect_left(values, 2 ** 1024 - 2 ** 970)  # the least int that float() refuses, as a sum with a float does
-        if big < len(values) and values[big] != math.inf and float in map(type, values):
-            return _failure(big, f"f({carrier.value_at(big)}) is an int past the float range beside float values",
-                            carrier.size), values
+    multiplicative = one is not None and values.item(one) == 1
+    if values.dtype == object:
+        floats = np.fromiter(map(isinstance, values, repeat(float)), bool, len(values))
+        if not floats.all():  # a float 0 or 1 beside an exact int would round f(a) + f(0) or f(a) * f(1)
+            values[0], floats[0] = 0, False
+            if multiplicative:
+                values[one], floats[one] = 1, False
+            # the least int that float() refuses, as a sum with a float does
+            big = int(np.searchsorted(values, 2 ** 1024 - 2 ** 970))
+            if big < len(values) and values[big] != math.inf and floats.any():
+                return _failure(big, f"f({carrier.value_at(big)}) is an int past the float range beside float values",
+                                carrier.size), values
+        if floats.all():
+            values = values.astype(np.float64)
+        elif not floats.any() and values[-1] < 2 ** 63:
+            values = values.astype(np.int64)
     return ValidationReport(True, multiplicative, carrier.size), values
+
+
+def _evaluate(f: FunctionalParameter, carrier: Carrier) -> tuple[np.ndarray, tuple[int, Exception] | None]:
+    """f at the carrier points in order, up to the first point where f is undefined, and (index, error) there."""
+    family, p, n = f.family, f.param, carrier.size
+    points = np.arange(n) if carrier.kind == INTEGER_RANGE else np.arange(n) * carrier.step  # value_at's i * step
+    if points.dtype == np.int64 and _is_exact(family, p):
+        # exact ints, as evaluate's at an int point; f increases, so f(top) bounds them all
+        return _exact(family, p, points if f.evaluate(carrier.value_at(n - 1)) < 2 ** 63 else points.astype(object)), None
+    if family == IDENTITY:
+        return points, None
+    if family == QUAD:
+        with np.errstate(over="ignore"):  # a float product past the double range is +inf, as in Python
+            return (points + points * points) / 2.0, None
+    if family == POWER:
+        return _mapped(lambda vs: map(math.pow, vs, repeat(p)), carrier)
+    if family == EXP2M1:
+        values, undefined = _mapped(lambda vs: map(math.pow, repeat(2.0), vs), carrier)
+        return values - 1.0, undefined
+    if family == ATANH:
+        values = np.empty(n)
+        for lo in range(0, n, ATANH_BLOCK):
+            values[lo:lo + ATANH_BLOCK] = _atanh_block(points[lo:lo + ATANH_BLOCK], p)
+        return values, None
+    if family == TABLE:
+        return _mapped(lambda vs: map(f.evaluate, vs), carrier, object)
+    raise SpecError(f"unknown f family {family!r}")
+
+
+def _mapped(over, carrier: Carrier, dtype=np.float64) -> tuple[np.ndarray, tuple[int, Exception] | None]:
+    """np.fromiter of over(iterator of carrier values), up to the first value at which it raises."""
+    def run(n: int):  # the index iterator tells how many values the map consumed
+        index = iter(range(n))
+        return index, over(index if carrier.kind == INTEGER_RANGE else map(carrier.step.__rmul__, index))
+    index, mapped = run(carrier.size)
+    try:
+        return np.fromiter(mapped, dtype, carrier.size), None
+    except (ValidationError, ValueError, OverflowError) as exc:
+        failed = carrier.size - 1 - length_hint(index)
+        return np.fromiter(run(failed)[1], dtype, failed), (failed, exc)
 
 
 def _failure(index: int, reason: str, checked: int) -> ValidationReport:
     return ValidationReport(False, False, checked, failure_index=index, reason=reason)
+
+
+def _first_failing_point(values: np.ndarray) -> int | None:
+    """The first point i at which a check of f fails (see _failure_at), or None."""
+    if not len(values):
+        return None
+    with np.errstate(invalid="ignore"):
+        bad = (values != values) | (values < 0)
+        bad[0] |= values[0] != 0
+        bad[1:] |= (values[:-1] == math.inf) | ~(values[1:] > values[:-1])  # exact for an int past 2^1024
+    i = int(bad.argmax())
+    return i if bad[i] else None
+
+
+def _failure_at(values: np.ndarray, carrier: Carrier, i: int) -> ValidationReport:
+    """The first of the checks of f at point i that fails, in their order; a pair's failure blames i - 1."""
+    v, fv = carrier.value_at(i), values.item(i)
+    if fv != fv:  # NaN
+        return _failure(i, f"f({v}) is NaN", i)
+    if i == 0:
+        if fv != 0:
+            return _failure(0, f"f(0) must be 0 exactly, got {fv}", 1)
+    else:
+        prev = values.item(i - 1)
+        if prev == math.inf:
+            return _failure(i - 1, "f reaches +inf before the top element", i)
+        if not fv > prev:
+            return _failure(i - 1, f"not strictly increasing: f({v}) = {fv} <= f(prev) = {prev}", i + 1)
+    return _failure(i, f"f({v}) = {fv} is negative", i + 1)
 
 
 def validate(f: FunctionalParameter, carrier: Carrier) -> ValidationReport:

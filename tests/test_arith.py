@@ -305,23 +305,34 @@ class TestIndexTable:
         assert_index_table_exact(a, ("add", "mul"))
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
-    @pytest.mark.parametrize("values, dtype", [
-        ([0, 1] + [10 ** 30 + k for k in range(60)], object),  # every float log2 key past index 1 is equal
-        ([0, 1] + [2 ** 60 + k for k in range(60)], object),  # distinct ints that share one float64
-        ([0, 1] + [2 ** 62 + k for k in range(60)], object),  # the same with sums past int64 too
+    @pytest.mark.parametrize("values, dtypes", [
+        ([0, 1] + [10 ** 30 + k for k in range(60)], (object, object)),  # every float log2 key past index 1 is equal
+        # distinct ints that share one float64: sums fit int64, products do not
+        ([0, 1] + [2 ** 60 + k for k in range(60)], (np.int64, object)),
+        ([0, 1] + [2 ** 62 + k for k in range(60)], (object, object)),  # the same with sums past int64 too
         # ints and floats mixed, past 2^53 and up to f(top) = inf, where products of 0 are masked
         ([0, 1, 2.5, 4, 7.25, 11, 2 ** 53 + 1, 2.0 ** 54, 2 ** 54 + 1, 2 ** 70 + 3, 1e30, 10 ** 31 + 1,
-          1e300, float("inf")], object),
-        ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], np.float64),  # the same mask in float64
+          1e300, float("inf")], (object, object)),
+        ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], (np.float64, np.float64)),  # the same mask in float64
     ], ids=["log2-collisions", "float64-collisions", "float64-collisions-past-int64", "mixed-to-inf",
             "floats-to-inf"])
-    def test_adversarial_tables(self, tmp_path, kind, values, dtype):
+    def test_adversarial_tables(self, tmp_path, kind, values, dtypes):
         """Targets whose float64 log2 keys tie or mislead still land on the exact index."""
         path = tmp_path / "f.txt"
         path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values)))
         a = arith(f"{kind}:table:{path}@int:0:{len(values) - 1}")
-        assert a._f_array.dtype == dtype
+        assert (a._op_values("add").dtype, a._op_values("mul").dtype) == dtypes
         assert_index_table_exact(a, ("add", "mul"))
+
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    def test_add_searches_int64_where_only_sums_fit(self, kind, monkeypatch):
+        # f(top) = 10^18: 2 f(top) fits int64, f(top)^2 does not
+        a = arith(f"{kind}:pow:3@int:0:1000000")
+        assert (a._f_array.dtype, a._op_values("add").dtype, a._op_values("mul").dtype) == (np.int64, np.int64, object)
+        rows = np.arange(a.carrier.size)
+        column = a.index_table("add", rows, 1)
+        monkeypatch.setattr(a, "_op_values", lambda op: a._f_objects)  # the exact search over Python ints
+        assert np.array_equal(a.index_table("add", rows, 1), column)
 
     def test_dual_exp2m1_past_600(self):
         assert_index_table_exact(arith("dual:exp2m1@int:0:600"), ("add", "mul"))

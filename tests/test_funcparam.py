@@ -80,7 +80,7 @@ class TestAtanhKernel:
         report, values = bind(f, carrier)
         assert report.ok == (f.param >= carrier.max)
         assert len(values) == (carrier.size if report.ok else report.failure_index + 1)
-        assert values == [mpmath_atanh(carrier.value_at(i), f.param) for i in range(len(values))]
+        assert values.tolist() == [mpmath_atanh(carrier.value_at(i), f.param) for i in range(len(values))]
 
     @pytest.mark.parametrize("c", [0.5, 3.0, 1.0000001])
     def test_scattered_points_match_mpmath(self, c):
@@ -89,7 +89,7 @@ class TestAtanhKernel:
         f = from_spec(f"atanh:{c}")
         expected = [mpmath_atanh(v, c) for v in points]
         assert [f.evaluate(v) for v in points] == expected
-        assert funcparam._atanh_block(points, c) == expected  # bind's path
+        assert funcparam._atanh_block(np.array(points), c).tolist() == expected  # bind's path
 
     @staticmethod
     def _count_libmp_points(monkeypatch) -> list:
@@ -104,7 +104,7 @@ class TestAtanhKernel:
         _, fast = bind(f, carrier)
         calls = self._count_libmp_points(monkeypatch)
         monkeypatch.setattr(funcparam, "ATANH_ERROR", math.inf)  # a margin wider than any ulp
-        assert bind(f, carrier)[1] == fast
+        assert bind(f, carrier)[1].tolist() == fast.tolist()
         assert len(calls) == carrier.size
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here: every point is unsure")
@@ -170,7 +170,7 @@ class TestValidate:
         # 2^1024 - 1 and above overflow a float conversion, so the +inf check must compare exactly
         report, values = bind(from_spec("exp2m1"), Carrier.integers(1100))
         assert report.ok
-        assert values == [(1 << v) - 1 for v in range(1101)]
+        assert values.dtype == object and values.tolist() == [(1 << v) - 1 for v in range(1101)]
 
     @pytest.mark.parametrize("spec", ["id", "pow:1.5", "pow:2", "exp2m1", "quad", "atanh:1"])
     def test_builtins_fix_zero_exactly(self, spec):
@@ -203,7 +203,79 @@ class TestValidate:
     def test_bind_stores_float_zero_and_one_as_ints_beside_an_int(self, points, kept):
         report, values = bind(FunctionalParameter("table:test", TABLE, points=points), Carrier.integers(2))
         assert report.ok and report.multiplicative == (points[1][1] == 1)
-        assert [(type(v), v) for v in values] == [(type(v), v) for v in kept]
+        assert [(type(v), v) for v in values.tolist()] == [(type(v), v) for v in kept]
+
+
+def bits(v):
+    """v's type and exact value; a float by its hex, so 0.0 and -0.0 differ."""
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+INTS = list(range(10001))
+
+
+def drawn(ys, xs=INTS):
+    return FunctionalParameter("table:test", TABLE, points=tuple(zip(xs, ys)))
+
+
+class TestBind:
+    @pytest.mark.parametrize("f_spec, carrier_spec, dtype", [
+        ("id", "int:0:1000", np.int64),
+        ("id", "grid:0:1:0.001", np.float64),
+        ("pow:1.5", "int:0:1000", np.float64),
+        ("pow:1.5", "grid:0:2:0.001", np.float64),
+        ("pow:2", "int:0:1000", np.int64),
+        ("pow:2", "grid:0:2:0.001", np.float64),
+        ("pow:3", "int:0:2000", np.int64),
+        ("pow:3", "grid:0:2:0.001", np.float64),
+        ("pow:7", "int:0:600", object),  # 600^7 passes 2^63
+        ("quad", "int:0:1000", np.int64),
+        ("quad", "grid:0:2:0.001", np.float64),
+        ("exp2m1", "int:0:62", np.int64),
+        ("exp2m1", "int:0:1100", object),  # past 2^1024
+        ("exp2m1", "grid:0:2:0.001", np.float64),
+        ("atanh:1", "grid:0:1:0.001", np.float64),  # +inf at the top
+        ("atanh:1000", "int:0:1000", np.float64),
+        ("table:{mixed}", "int:0:399", object),
+        ("table:{mixed}", "grid:0:399:1", object),
+        # ints x past 2^53 that no double holds, matched within tolerance to the grid points 2^59 apart
+        ("table:{inexact}", "grid:0:2305843009213693952:576460752303423488", np.int64),
+    ])
+    def test_bound_values_are_evaluate_bit_for_bit(self, tmp_path, f_spec, carrier_spec, dtype):
+        tables = {
+            "mixed": "".join(f"{i} {i * i if i < 2 or i % 2 == 0 else i * i + 0.25}\n" for i in range(400)),
+            "inexact": "".join(f"{x} {y}\n" for y, x in enumerate([0, 2 ** 59 + 1, 2 ** 60, 3 * 2 ** 59 + 3, 2 ** 61])),
+        }
+        for name, text in tables.items():
+            (tmp_path / name).write_text(text)
+        f = from_spec(f_spec.format(**{name: tmp_path / name for name in tables}))
+        carrier = Carrier.from_spec(carrier_spec)
+        report, values = bind(f, carrier)
+        assert report.ok and values.dtype == dtype
+        assert list(map(bits, values.tolist())) == [bits(f.evaluate(carrier.value_at(i))) for i in range(carrier.size)]
+
+    @pytest.mark.parametrize("f, carrier_spec, expected", [
+        (drawn(INTS[:5000] + [math.nan] + INTS[5001:]), "int:0:10000", (5000, 5000, "f(5000) is NaN")),
+        (drawn(INTS[:5000] + [4999] + INTS[5001:]), "int:0:10000",
+         (4999, 5001, "not strictly increasing: f(5000) = 4999 <= f(prev) = 4999")),
+        # past f(0) = 0 a negative value breaks the increase first
+        (drawn(INTS[:5000] + [-5] + INTS[5001:]), "int:0:10000",
+         (4999, 5001, "not strictly increasing: f(5000) = -5 <= f(prev) = 4999")),
+        (drawn([0.5] + INTS[1:]), "int:0:10000", (0, 1, "f(0) must be 0 exactly, got 0.5")),
+        (drawn(INTS[:5000] + [math.inf] + INTS[5001:]), "int:0:10000",
+         (5000, 5001, "f reaches +inf before the top element")),
+        (from_spec("pow:1000.5"), "int:0:10000", (3, 3, "f undefined at 3: math range error")),
+        (from_spec("pow:100.5"), "int:0:10000", (1168, 1168, "f undefined at 1168: math range error")),
+        (from_spec("exp2m1"), "grid:0:10000:1", (1024, 1024, "f undefined at 1024.0: math range error")),
+        (drawn(INTS[:5000] + INTS[5001:], INTS[:5000] + INTS[5001:]), "int:0:10000",
+         (5000, 5000, "f undefined at 5000: table f has no entry for carrier point 5000")),
+        (drawn(INTS[:2] + [v + 0.5 for v in INTS[2:5000]] + [2 ** 1024 + v for v in INTS[5000:]]), "int:0:10000",
+         (5000, 10001, "f(5000) is an int past the float range beside float values")),
+    ], ids=["nan", "plateau", "negative", "f(0)", "inf-before-top", "pow-overflow", "pow-overflow-interior",
+            "exp2m1-overflow", "missing-table-point", "int-past-float-range"])
+    def test_rejection_reports(self, f, carrier_spec, expected):
+        report, _ = bind(f, Carrier.from_spec(carrier_spec))
+        assert not report.ok and (report.failure_index, report.points_checked, report.reason) == expected
 
 
 class TestLoadTable(object):

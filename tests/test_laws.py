@@ -241,7 +241,7 @@ def test_oversize_distributivity_still_refused(monkeypatch, upper=22):
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monkeypatch, upper=22):
     a = arith(spec)
-    assert a._f_array.dtype == dtype
+    assert a._op_values("mul").dtype == dtype  # add's is int64 on exp2m1, whose 2 f(40) fits
     whole = check_law(a, law, upper)
     kind, name = spec.split("@")[0].split(":", 1)
     assert (whole.witness, whole.violations) == reference_report(name, kind, law, upper, points=41)
@@ -289,7 +289,7 @@ def test_scan_past_the_table_bound_memory():
 @pytest.mark.parametrize("law", ["assoc-add", "assoc-mul"])
 def test_tiled_assoc_scan_matches_reference(spec, dtype, law, monkeypatch, upper=22):
     a = arith(spec)
-    assert a._f_array.dtype == dtype
+    assert a._op_values("mul").dtype == dtype  # add's is int64 on exp2m1, whose 2 f(40) fits
     kind, name = spec.split("@")[0].split(":", 1)
     expected = reference_report(name, kind, law, upper, points=41)
     for tile in (1, 3, 23):  # 3 does not divide R + 1 = 23, so the last block is short
@@ -389,7 +389,7 @@ def test_decided_laws_hold_on_every_bound_table(values):
     f, n = FunctionalParameter("table:drawn", TABLE, points=tuple(enumerate(values))), len(values)
     for kind in ("projective", "dual"):
         a = Arithmetic(carrier, f, kind)
-        fvals, cells = a._fvals, [(i, j) for i in range(n) for j in range(n)]
+        fvals, cells = a._f_array.tolist(), [(i, j) for i in range(n) for j in range(n)]
         assert a.multiplicative == (values[1] == 1)
         assert all(ref_add(fvals, kind, i, j) == ref_add(fvals, kind, j, i) for i, j in cells)
         assert all(ref_add(fvals, kind, i, 0) == i == ref_add(fvals, kind, 0, i) for i in range(n))
@@ -424,7 +424,6 @@ def test_each_op_table_is_built_once_per_audit(monkeypatch):
 
 def test_no_buffer_outlives_the_audit():
     a = arith("projective:pow:1.5@int:0:100")
-    a._f_array  # memoised before tracing, like the op tables below
     tracemalloc.start()
     try:
         check_laws(a, ALL_LAWS, 60)
@@ -433,6 +432,25 @@ def test_no_buffer_outlives_the_audit():
         tracemalloc.stop()
     assert peak > 61 ** 3 * 9  # a chunk's two int32 sides and bool mask were allocated
     assert current <= sum(t.nbytes for t in a._op_tables.values()) + 64 * 1024
+
+
+def test_archimedean_row_builds_no_object_array():
+    # f(top) = 10^18: add searches int64, though mul would need Python ints
+    a = arith("projective:pow:3@int:0:1000000")
+    assert check_laws(a, ["archimedean"], 100)[0].status == FAILS
+    assert a._fvals == [] and not {"_f_objects", "_f_log2"} & vars(a).keys()
+
+
+def test_archimedean_rows_on_a_million_points_memory():
+    tracemalloc.start()
+    try:
+        a = arith("projective:id@int:0:1000000")
+        reports = check_laws(a, ["archimedean", "theorem-archimedean-mll"], 999999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in reports] == [HOLDS, HOLDS]
+    assert peak < 20 * 10 ** 6  # the 8 MB bound array and column blocks; a list of 1M ints alone takes 36 MB
 
 
 @pytest.fixture
@@ -542,8 +560,8 @@ class TestTheorem:
     ("dual:pow:2@int:0:40", "int64"),
     ("projective:id@int:0:40", "int64"),
     ("dual:quad@int:0:40", "int64"),
-    ("projective:exp2m1@int:0:40", "object"),
-    ("dual:exp2m1@int:0:40", "object"),
+    ("projective:exp2m1@int:0:40", "int64"),  # 2 f(40) fits int64, though f(40)^2 does not
+    ("dual:exp2m1@int:0:40", "int64"),
     # f(x) = x up to 12, then 3x^2: 12 + 1 rounds down to 12, so the sums of 1 stop at 12
     ("projective:table:{path}@int:0:40", "int64"),
     ("dual:table:{path}@int:0:40", "int64"),
@@ -559,7 +577,7 @@ def test_archimedean_rows_match_reference(spec, dtype, tmp_path):
     for key, table in tables.items():
         (tmp_path / f"{key}.tbl").write_text("".join(f"{x} {v!r}\n" for x, v in enumerate(table)))
     a = arith(spec.format(**{key: tmp_path / f"{key}.tbl" for key in tables}))
-    assert a._f_array.dtype == dtype
+    assert a._op_values("add").dtype == dtype  # the one op both rows read
     kind, name = spec.split("@")[0].split(":", 1)
     top, value = a.carrier.size - 1, a.carrier.value_at
     if name.startswith("table"):
