@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from math import inf, isinf, log2
+from math import inf, log2
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .funcparam import FunctionalParameter, bind
+from .funcparam import FLOAT_RANGE_END, FunctionalParameter, bind
 from .funcparam import from_spec as f_from_spec
 
 PROJECTIVE = "projective"
@@ -127,9 +127,9 @@ class Arithmetic:
     @cached_property
     def _f_log2(self) -> np.ndarray:
         # float64 keys that rank an object search's candidates, built on its first table; float() refuses an
-        # int from 2^1024 - 2^970 on, and past it bind keeps only ints (and +inf at the top), as math.log2 takes
+        # int from FLOAT_RANGE_END on, and past it bind keeps only ints (and +inf at the top), as math.log2 takes
         fv = self._f_objects
-        big = int(np.searchsorted(fv, 2 ** 1024 - 2 ** 970))
+        big = int(np.searchsorted(fv, FLOAT_RANGE_END))
         with np.errstate(divide="ignore"):  # log2 0 is -inf
             return np.concatenate([np.log2(fv[:big].astype(np.float64)), np.fromiter(map(log2, fv[big:]), float)])
 
@@ -222,13 +222,7 @@ class Arithmetic:
         """a (-) b, clamped at 0; an extension, not part of either family's core."""
         fv = self._fvals or self._python_values()
         fa, fb = fv[i], fv[j]
-        if isinstance(fb, float) and isinf(fb):
-            # f(b) = +inf only at the top; inf - inf and finite - inf clamp to 0
-            target = 0
-        else:
-            target = fa - fb
-        if target < 0:
-            target = 0
+        target = fa - fb if fa > fb else 0  # so inf - inf and finite - inf clamp to 0, and inf - finite is inf
         return self._locate(target, fv)
 
     def _require_mul(self) -> None:

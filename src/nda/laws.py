@@ -1,9 +1,9 @@
 """Exhaustive verification of classical laws over a finite range.
 
 Laws are data: an arity and one equation whose sides compose add and mul over
-index axes a, b, c, each op gathered from its memoised int32 table over
-[0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M
-is read off the sides at the corner (R, ..., R) before anything is built.
+index axes a, b, c.  Scans read each op off its memoised int32 table over
+[0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M is
+read off the equation's sides at the corner (R, ..., R) before anything is built.
 Commutativity and the neutral laws have no equation: they hold by
 construction, and are reported unscanned, with the (R+1)^arity cells decided.
 a (op) b is rho(f(a) o f(b)), where rho rounds onto the carrier and
@@ -14,14 +14,16 @@ associativity thus fails exactly where P[a, b, c] != P[c, b, a].  Its scans
 tile the (a, c) plane in blocks of ASSOC_TILE indices and compare P[A, :, C]
 with the transpose of P[C, :, A] for each pair of blocks A <= C, in
 O(R * ASSOC_TILE^2) memory, over narrow copies of each block's columns.
-Distributivity scans [0..R]^3 in chunks of the leading index of at most
-MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides and a bool mask), in
-buffers each scan allocates once.  An op whose table would pass MAX_TABLE_CELLS
-cells (32 MB) is computed directly over each chunk's operands instead, and such
-a scan takes one leading index a chunk, (R+1)^2 cells; it is refused past
-MAX_SCAN_CELLS cells in all.  An associativity scan that needs one reads the
-outer op over its distinct inner values x [0..R] and the inner op over
-[0..R]^2, and is refused only when those, at most
+Distributivity reads its sides off the add table S and the mul table M as
+a(b + c) = M[a, S[b, c]] and ab + ac = S[M[a, b], M[a, c]], in chunks of the
+leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides
+and a bool mask), in buffers each scan allocates once.  An op whose table would
+pass MAX_TABLE_CELLS cells (32 MB) is computed by index_table over its operands
+instead: b + c once a scan, ab and a(b + c) once a chunk, and p + p once an a,
+p = ab over b in [0..R].  Such a scan takes one leading index a chunk, (R+1)^2
+cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity scan
+that needs one reads the outer op over its distinct inner values x [0..R] and
+the inner op over [0..R]^2, and is refused only when those, at most
 min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the cube
 passes MAX_SCAN_CELLS.  Reports give holds / fails / not-applicable, the exact
 violation count and the smallest counterexample: least largest component, then
@@ -37,9 +39,8 @@ defined and reports are finite-window approximations of an infinite family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -75,27 +76,20 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _side(apply, side, axes, buffer=None):
-    """One side of an equation (an axis name or (op, side, side)) under apply(op, x, y, buffer).
-
-    Only the top op of the side is taken into buffer; inner ops get fresh arrays.
-    """
+def _corner(arith: Arithmetic, side, upper: int, extents: dict[str, int]) -> int:
+    """A side (an axis name or (op, side, side)) at (upper, ..., upper); raises each op's extent to its operands."""
     if isinstance(side, str):
-        return axes["abc".index(side)]
-    op, x, y = side
-    return apply(op, _side(apply, x, axes), _side(apply, y, axes), buffer)
+        return upper
+    op, i, j = side[0], _corner(arith, side[1], upper, extents), _corner(arith, side[2], upper, extents)
+    extents[op] = max(extents.get(op, 0), i, j)
+    return int(arith.index_table(op, i, j))  # a dual sum past f(top) clamped to the top, as op tables do
 
 
 def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
     """Each op's table extent in the equation, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
     extents: dict[str, int] = {}
-
-    def corner(op: str, i, j, _buffer=None) -> int:  # sides at (upper, ..., upper) reach each op's largest operand
-        extents[op] = max(extents.get(op, 0), int(i), int(j))
-        return int(arith.index_table(op, i, j))  # a dual sum past f(top) clamped to the top, as op tables do
-
-    for side in equation:
-        _side(corner, side, (upper,) * 3)
+    for side in equation:  # op is monotone, so the sides at the corner reach each op's largest operands
+        _corner(arith, side, upper, extents)
     fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
     n, top = upper + 1, max(extents.values())
     if not all(fits.values()) and n ** arity > MAX_SCAN_CELLS:
@@ -113,36 +107,6 @@ def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = 
 def _tables(arith: Arithmetic, extents: dict[str, int | None]) -> dict[str, np.ndarray]:
     """The memoised op table of each op with an extent."""
     return {op: arith.op_table(op, extent) for op, extent in extents.items() if extent is not None}
-
-
-def _gather(arith: Arithmetic, tables: dict, op: str, x: np.ndarray, y: np.ndarray,
-            buffer: np.ndarray | None = None) -> np.ndarray:
-    """op's table[x, y], taken into a prefix of buffer (a fresh array when None), or computed where op has no table."""
-    table = tables.get(op)
-    if table is None:  # too large for a table: computed over these operands only
-        return arith.index_table(op, x, y)
-    if x.max() >= table.shape[0] or y.max() >= table.shape[1]:  # np.take below wraps instead of raising
-        raise IndexError(f"{op} operand past its table of shape {table.shape}")
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.empty(shape, np.int32) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
-    _take(table, x, y, out)
-    return out
-
-
-def _take(table: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = table[x, y] by np.take, one leading index at a time where y varies on an axis at or before x's last."""
-    vx = [d for d, n in enumerate(x.shape) if n > 1]
-    vy = [d for d, n in enumerate(y.shape) if n > 1]
-    if vx and vy and vx[-1] >= vy[0]:
-        for i in range(len(out)):  # an operand of length 1 on the leading axis broadcasts
-            _take(table, x[i % len(x)], y[i % len(y)], out[i])
-    else:  # x varies only on axes before y's, so out is the (x cell, y cell) grid in C order;
-        # mode="wrap" takes straight into out, where "raise" would buffer it
-        xr, yr, grid = x.ravel(), y.ravel(), out.reshape(x.size, y.size)
-        if xr.size <= yr.size:  # take the shorter operand's rows or columns first
-            np.take(np.take(table, xr, axis=0), yr, axis=1, out=grid, mode="wrap")
-        else:
-            np.take(np.take(table, yr, axis=1), xr, axis=0, out=grid, mode="wrap")
 
 
 # name -> (arity, needs_mul, equation): an (lhs, rhs) pair of sides, None for a law that holds by construction
@@ -182,22 +146,39 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     return arity, equation, _extents(arith, equation, upper, arity, law in _TRANSPOSED) if equation else {}
 
 
-def _chunks(arith: Arithmetic, arity: int, equation, extents: dict, n: int):
-    """(mask, 1, offsets) of each chunk of leading indices of [0..n-1]^arity, True where the equation fails.
+def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Refuses operands past op's table, which np.take's mode="wrap" would wrap round instead of raising."""
+    if rows.max() >= table.shape[0] or cols.max() >= table.shape[1]:
+        raise IndexError(f"{op} operand past its table of shape {table.shape}")
 
-    A chunk holds at most MAX_SCAN_CELLS cells, or n where an op has no table
-    (extent None), rounded up to whole leading indices.
+
+def _distributivity(arith: Arithmetic, tables: dict, n: int):
+    """(mask, 1, (lo, 0, 0)) of each chunk of leading indices of [0..n-1]^3, True where a(b + c) != ab + ac.
+
+    a(b + c) is one take of the chunk's rows of M by S[:n, :n], and ab + ac two takes of S for each a.
     """
-    budget = n if None in extents.values() else MAX_SCAN_CELLS
-    gather, rows = partial(_gather, arith, _tables(arith, extents)), min(n, max(1, budget // n ** (arity - 1)))
-    cells = rows * n ** (arity - 1)  # the buffers are reused by every chunk
-    buffers, mask_buffer = (np.empty(cells, np.int32), np.empty(cells, np.int32)), np.empty(cells, bool)
+    add, mul, index = tables.get("add"), tables.get("mul"), np.arange(n)
+    rows = min(n, max(1, MAX_SCAN_CELLS // (n * n))) if add is not None and mul is not None else 1
+    sums = (add[:n, :n] if add is not None else arith.index_table("add", index[:, None], index)).astype(np.intp)
+    if mul is not None:
+        _bounded("mul", mul, index, sums)
+    # two sides and a mask, reused by every chunk; a short last chunk takes a prefix
+    left, right, masks = (np.empty((rows, n, n), dtype) for dtype in (np.int32, np.int32, bool))
     for lo in range(0, n, rows):
-        axes = np.ix_(np.arange(lo, min(lo + rows, n)), *[np.arange(n)] * (arity - 1))
-        left, right = (_side(gather, side, axes, buffer) for side, buffer in zip(equation, buffers))
-        shape = np.broadcast_shapes(left.shape, right.shape)  # the chunk's own prefix of the buffer, so no stale cell
-        mask = np.not_equal(left, right, out=mask_buffer[:math.prod(shape)].reshape(shape))
-        yield mask, 1, (lo,) + (0,) * (arity - 1)
+        hi = min(lo + rows, n)
+        if mul is None:
+            a = index[lo:hi, None]
+            lhs, products = arith.index_table("mul", a[:, None], sums), arith.index_table("mul", a, index)
+        else:
+            lhs, products = np.take(mul[lo:hi], sums, axis=1, out=left[:hi - lo], mode="wrap"), mul[lo:hi, :n]
+        if add is not None:
+            _bounded("add", add, products, products)
+        for p, out in zip(products, right):
+            if add is None:
+                out[...] = arith.index_table("add", p[:, None], p)
+            else:
+                np.take(np.take(add, p, axis=0), p, axis=1, out=out, mode="wrap")
+        yield np.not_equal(lhs, right[:hi - lo], out=masks[:hi - lo]), 1, (lo, 0, 0)
 
 
 def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
@@ -243,7 +224,8 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
 
     Associativity is scanned in tiles (_tiles).  pairs_checked is still
     (R+1)^3: commutativity decides the mirrored half.  Distributivity scans
-    in chunks (_chunks), computing an op with no table chunk by chunk.  A law
+    chunks of leading indices off its add and mul tables (_distributivity),
+    and computes an op with no table over each chunk's operands.  A law
     without an equation holds by construction (see the module docstring).
     """
     plan = _plan(arith, law, upper)
@@ -253,7 +235,8 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     n, op = upper + 1, _TRANSPOSED.get(law)
     if equation is None:
         return LawReport(law, HOLDS, None, upper, n ** arity, 0)
-    masks = _tiles(arith, op, _tables(arith, extents).get(op), n) if op else _chunks(arith, arity, equation, extents, n)
+    tables = _tables(arith, extents)
+    masks = _tiles(arith, op, tables.get(op), n) if op else _distributivity(arith, tables, n)
     count, cell = _fold(masks, n)
     witness = cell and tuple(arith.carrier.value_at(i) for i in cell)
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)

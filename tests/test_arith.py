@@ -122,11 +122,13 @@ class TestSub:
         assert ev("projective:pow:2@int:0:100", "5 - 1") == 4
 
     def test_subtracting_infinity_clamps_to_zero(self):
-        assert ev("projective:atanh:1@grid:0:1:0.001", "0.5 - 1.0") == 0.0
-        assert ev("projective:atanh:1@grid:0:1:0.001", "1.0 - 1.0") == 0.0
+        for kind in ("projective", "dual"):
+            assert ev(f"{kind}:atanh:1@grid:0:1:0.001", "0.5 - 1.0") == 0.0
+            assert ev(f"{kind}:atanh:1@grid:0:1:0.001", "1.0 - 1.0") == 0.0
 
     def test_infinity_minus_finite_stays_top(self):
-        assert ev("projective:atanh:1@grid:0:1:0.001", "1.0 - 0.5") == 1.0
+        for kind in ("projective", "dual"):
+            assert ev(f"{kind}:atanh:1@grid:0:1:0.001", "1.0 - 0.5") == 1.0
 
 
 def partial_sums(spec, term, k):

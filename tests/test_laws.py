@@ -278,6 +278,33 @@ def test_scan_past_the_table_bound_memory():
     assert peak < 101 ** 3  # one leading index a chunk; the whole cube would take 9 * 101 ** 3 bytes
 
 
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+@pytest.mark.parametrize("name, extents", [
+    # add's extent mul(22, 22), one below 22^2 = 484 by rounding where projective; mul's add(22, 22)
+    ("pow:1.5", {"projective": {"add": 483, "mul": 34}, "dual": {"add": 484, "mul": 35}}),
+    # add(22, 22) = 22 * 2^10 passes the top: mul's extent is clamped to it
+    ("pow:0.1", {"projective": {"add": 484, "mul": 1000}, "dual": {"add": 484, "mul": 1000}}),
+    # only add tabled too, where distributivity fails (pow:0.1 holds at R = 22)
+    ("pow:0.2", {"projective": {"add": 484, "mul": 704}, "dual": {"add": 485, "mul": 704}}),
+])
+def test_distributivity_with_one_op_tabled(name, extents, kind, monkeypatch, upper=22):
+    a, n = arith(f"{kind}:{name}@int:0:1000"), upper + 1
+    assert laws._plan(a, "distributivity", upper)[2] == extents[kind]
+    whole = check_law(a, "distributivity", upper)  # both ops tabled, the cube in one chunk
+    assert (whole.witness, whole.violations) == reference_report(name, kind, "distributivity", upper, points=1001)
+    (small, tabled), (large, _) = sorted((extent, op) for op, extent in extents[kind].items())
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", (small + 1) ** 2)  # only the op of the smaller extent has a table
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n ** 3)  # the least that admits a scan with an untabled op
+    assert (large + 1) ** 2 > laws.MAX_TABLE_CELLS
+    cells, index_table = [], Arithmetic.index_table
+    monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
+        cells.append(np.broadcast(rows, cols).size), index_table(self, op, rows, cols))[1])
+    assert check_law(a, "distributivity", upper) == whole
+    # one leading index a chunk, each call at most (R+1)^2 cells: where mul has no table, a(b + c) once a chunk;
+    # where add has none, p + p once an a and b + c once a scan
+    assert max(cells) == n * n and cells.count(n * n) == n + (tabled == "mul")
+
+
 @pytest.mark.parametrize("spec, dtype", [
     ("projective:pow:1.5@int:0:40", "float64"),
     ("projective:pow:1.2@int:0:40", "float64"),
@@ -331,25 +358,6 @@ def test_tiled_assoc_scan_widens_its_narrow_columns(spec, top, narrow, monkeypat
     report = check_law(a, "assoc-add", upper)
     assert read == {np.dtype(narrow)}
     assert (report.witness, report.violations) == (smallest_witness(violations), len(violations))
-
-
-@pytest.mark.parametrize("x_shape, y_shape", [
-    ((7, 1), (1, 9)),  # x before y: the (x cell, y cell) grid
-    ((1, 9), (7, 1)),  # y before x: one leading index at a time
-    ((1, 300), (400, 1)),
-    ((1, 1, 6), (4, 5, 1)),  # y before x over two axes
-    ((5, 1), (5, 4)),  # both vary on the leading axis
-    ((5, 4, 1), (5, 1, 3)),
-    ((1, 4, 1), (5, 1, 3)),  # a leading operand of length 1 broadcasts
-    ((5,), ()),  # a 0-d operand
-])
-def test_take_is_fancy_indexing(x_shape, y_shape):
-    table = np.arange(500 * 600, dtype=np.int32).reshape(500, 600)  # no cell equals its mirror
-    rng = np.random.default_rng(20011108)
-    x, y = rng.integers(500, size=x_shape), rng.integers(500, size=y_shape)
-    out = np.full(np.broadcast_shapes(x_shape, y_shape), -1, np.int32)
-    laws._take(table, x, y, out)
-    assert np.array_equal(out, table[x, y])
 
 
 def test_decided_laws_read_no_table(monkeypatch):
