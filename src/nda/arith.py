@@ -25,10 +25,11 @@ ranks a candidate index: exact comparisons with f there and at its
 neighbour confirm it or move it one index, twice at most, and the cells
 still unbracketed go to the exact ``np.searchsorted``, so float64 never
 decides a cell.  ``op_table`` memoises one such table per operation over a
-square of leading indices, built as its upper triangle in row blocks, each
-mirrored into the lower triangle: f(i) + f(j) and f(i) * f(j) commute in
-float64, int64 and exact Python numbers alike, and so do the zero mask and
-the search that follows.
+rectangle [0..rows] x [0..cols] of leading indices, cols <= rows.  Its
+[0..cols]^2 block is built as its upper triangle in row blocks, each mirrored
+into the lower triangle, and the rows past cols against [0..cols]: f(i) + f(j)
+and f(i) * f(j) commute in float64, int64 and exact Python numbers alike, and
+so do the zero mask and the search that follows.
 Extended reals participate: +inf is an absorbing target and the projective
 search maps it to the top element.
 """
@@ -199,20 +200,30 @@ class Arithmetic:
             key = np.logaddexp2(lx, ly) if op == "add" else lx + ly
         return self._settle(fv, target, self._search(self._f_log2, key)).astype(np.int32)
 
-    def op_table(self, op: str, extent: int) -> np.ndarray:
-        """index_table of op over [0..extent]^2, memoised; rebuilt only for a larger extent."""
+    def op_table(self, op: str, rows: int, cols: int | None = None) -> np.ndarray:
+        """index_table of op over [0..rows] x [0..cols], cols <= rows (rows by default), memoised.
+
+        A memoised table that does not cover the rectangle is replaced by one
+        over exactly that rectangle, so a table is never larger than asked for.
+        """
+        cols = rows if cols is None else cols
+        if not 0 <= cols <= rows:
+            raise ValueError(f"op table over [0..{rows}] x [0..{cols}]: want 0 <= cols <= rows")
         table = self._op_tables.get(op)
-        if table is None or len(table) <= extent:
-            n = extent + 1
-            table = np.empty((n, n), dtype=np.int32)
+        if table is None or table.shape[0] <= rows or table.shape[1] <= cols:
+            n, w = rows + 1, cols + 1
+            table = np.empty((n, w), dtype=np.int32)
             index, lo = np.arange(n), 0
-            while lo < n:  # upper-triangle blocks of some 64K cells keep a build's temporaries small
-                hi = min(n, lo + max(1, (1 << 16) // (n - lo)))
-                table[lo:hi, lo:] = block = self.index_table(op, index[lo:hi, None], index[None, lo:])
-                table[lo:, lo:hi] = block.T  # op commutes: its targets f(i) + f(j) and f(i) * f(j) do
+            while lo < w:  # [0..cols]^2 as upper-triangle blocks of some 64K cells, which keep temporaries small
+                hi = min(w, lo + max(1, (1 << 16) // (w - lo)))
+                table[lo:hi, lo:] = block = self.index_table(op, index[lo:hi, None], index[None, lo:w])
+                table[lo:w, lo:hi] = block.T  # op commutes: its targets f(i) + f(j) and f(i) * f(j) do
                 lo = hi
+            step = max(1, (1 << 16) // w)
+            for lo in range(w, n, step):  # then the rows past cols, against [0..cols]
+                table[lo:lo + step] = self.index_table(op, index[lo:lo + step, None], index[None, :w])
             self._op_tables[op] = table
-        return table[:extent + 1, :extent + 1]
+        return table[:rows + 1, :cols + 1]
 
     def add_index(self, i: int, j: int) -> int:
         fv = self._fvals or self._python_values()

@@ -2,8 +2,14 @@
 
 Laws are data: an arity and one equation whose sides compose add and mul over
 index axes a, b, c.  Scans read each op off its memoised int32 table over
-[0..M]^2 (``Arithmetic.op_table``).  Op is monotone in each argument, so M is
-read off the equation's sides at the corner (R, ..., R) before anything is built.
+[0..L] x [0..W] (``Arithmetic.op_table``), W being the largest smaller operand
+that the law gives op and L the largest larger one; op commutes, so a scan
+indexes the rows by the operand of the larger range.  Op is monotone in each
+argument, so L and W are read off the equation's sides at the corner
+(R, ..., R) before anything is built: mul's table is [0..mul(R, R)] x [0..R]
+for assoc-mul and [0..add(R, R)] x [0..R] for distributivity, add's
+[0..add(R, R)] x [0..R] for assoc-add and [0..mul(R, R)]^2 for distributivity
+(each side at least R).
 Commutativity and the neutral laws have no equation: they hold by
 construction, and are reported unscanned, with the (R+1)^arity cells decided.
 a (op) b is rho(f(a) o f(b)), where rho rounds onto the carrier and
@@ -15,23 +21,22 @@ tile the (a, c) plane in blocks of ASSOC_TILE indices and compare P[A, :, C]
 with the transpose of P[C, :, A] for each pair of blocks A <= C, in
 O(R * ASSOC_TILE^2) memory, over narrow copies of each block's columns.
 Distributivity reads its sides off the add table S and the mul table M as
-a(b + c) = M[a, S[b, c]] and ab + ac = S[M[a, b], M[a, c]], in chunks of the
+a(b + c) = M[S[b, c], a] and ab + ac = S[M[a, b], M[a, c]], in chunks of the
 leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides
 and a bool mask), in buffers each scan allocates once.  An op whose table would
 pass MAX_TABLE_CELLS cells (32 MB) is computed by index_table over its operands
 instead: b + c once a scan, ab and a(b + c) once a chunk, and p + p once an a,
 p = ab over b in [0..R].  Such a scan takes one leading index a chunk, (R+1)^2
-cells; it is refused past MAX_SCAN_CELLS cells in all.  An associativity scan
-that needs one reads the outer op over its distinct inner values x [0..R] and
-the inner op over [0..R]^2, and is refused only when those, at most
-min(M+1, (R+1)^2) * (R+1) + (R+1)^2 cells, pass MAX_TABLE_CELLS while the cube
-passes MAX_SCAN_CELLS.  Reports give holds / fails / not-applicable, the exact
-violation count and the smallest counterexample: least largest component, then
-lexicographic, which is the first violation in C order of the least cube
-[0..k]^arity that holds one.  check_laws also reports the Archimedean rows,
-their extra fields as details.  Both read one index_table column, s + 1 for s
-in [1, R), up to its least fixed point b (_stuck); the theorem holds by
-construction, as both of its sides come down to whether b exists.
+cells.  An associativity scan that needs one reads the outer op over its
+distinct inner values x [0..R] and the inner op over [0..R]^2.  Any scan with
+an op so computed is refused past MAX_SCAN_CELLS cells in all.  Reports give
+holds / fails / not-applicable, the exact violation count and the smallest
+counterexample: least largest component, then lexicographic, which is the
+first violation in C order of the least cube [0..k]^arity that holds one.
+check_laws also reports the Archimedean rows, their extra fields as details.
+Both read one index_table column, s + 1 for s in [1, R), up to its least fixed
+point b (_stuck); the theorem holds by construction, as both of its sides come
+down to whether b exists.
 
 Op tables clamp a dual sum past f(top) to the top, so every tuple is
 defined and reports are finite-window approximations of an infinite family.
@@ -76,37 +81,38 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _corner(arith: Arithmetic, side, upper: int, extents: dict[str, int]) -> int:
-    """A side (an axis name or (op, side, side)) at (upper, ..., upper); raises each op's extent to its operands."""
+def _corner(arith: Arithmetic, side, upper: int, extents: dict[str, tuple[int, int]]) -> int:
+    """A side (an axis name or (op, side, side)) at (upper, ..., upper); raises each op's (L, W) to its operands."""
     if isinstance(side, str):
         return upper
     op, i, j = side[0], _corner(arith, side[1], upper, extents), _corner(arith, side[2], upper, extents)
-    extents[op] = max(extents.get(op, 0), i, j)
+    larger, smaller = extents.get(op, (0, 0))
+    extents[op] = (max(larger, i, j), max(smaller, min(i, j)))
     return int(arith.index_table(op, i, j))  # a dual sum past f(top) clamped to the top, as op tables do
 
 
-def _extents(arith: Arithmetic, equation, upper: int, arity: int, tiled: bool = False) -> dict[str, int | None]:
-    """Each op's table extent in the equation, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk or tile."""
-    extents: dict[str, int] = {}
+def _cells(extent: tuple[int, int]) -> int:
+    return (extent[0] + 1) * (extent[1] + 1)
+
+
+def _extents(arith: Arithmetic, equation, upper: int, arity: int) -> dict[str, tuple[int, int] | None]:
+    """Each op's table extents (L, W) in the equation, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
+    extents: dict[str, tuple[int, int]] = {}
     for side in equation:  # op is monotone, so the sides at the corner reach each op's largest operands
         _corner(arith, side, upper, extents)
-    fits = {op: (extent + 1) ** 2 <= MAX_TABLE_CELLS for op, extent in extents.items()}
-    n, top = upper + 1, max(extents.values())
-    if not all(fits.values()) and n ** arity > MAX_SCAN_CELLS:
-        if not tiled:
-            raise ValueError(f"op table of {(top + 1) ** 2} cells for R = {upper} exceeds the limit "
-                             f"{MAX_TABLE_CELLS} and the scan of {n ** arity} cells the limit {MAX_SCAN_CELLS}; lower R")
-        # _tiles reads the outer op over the distinct inner values x [0..R] and the inner op over [0..R]^2
-        cells = min(top + 1, n * n) * n + n * n
-        if cells > MAX_TABLE_CELLS:
-            raise ValueError(f"tiled scan of {cells} table cells for R = {upper} exceeds the limit "
-                             f"{MAX_TABLE_CELLS}; lower R")
+    fits = {op: _cells(extent) <= MAX_TABLE_CELLS for op, extent in extents.items()}
+    cube = (upper + 1) ** arity
+    for op, (larger, smaller) in extents.items():
+        if not fits[op] and cube > MAX_SCAN_CELLS:
+            raise ValueError(f"{op} table over [0..{larger}] x [0..{smaller}] for R = {upper} exceeds the limit "
+                             f"{MAX_TABLE_CELLS} cells and the scan of {cube} cells the limit {MAX_SCAN_CELLS}; "
+                             "lower R")
     return {op: extent if fits[op] else None for op, extent in extents.items()}
 
 
-def _tables(arith: Arithmetic, extents: dict[str, int | None]) -> dict[str, np.ndarray]:
-    """The memoised op table of each op with an extent."""
-    return {op: arith.op_table(op, extent) for op, extent in extents.items() if extent is not None}
+def _tables(arith: Arithmetic, extents: dict[str, tuple[int, int] | None]) -> dict[str, np.ndarray]:
+    """The memoised op table of each op with extents (L, W): [0..L] x [0..W]."""
+    return {op: arith.op_table(op, *extent) for op, extent in extents.items() if extent is not None}
 
 
 # name -> (arity, needs_mul, equation): an (lhs, rhs) pair of sides, None for a law that holds by construction
@@ -143,7 +149,7 @@ def _plan(arith: Arithmetic, law: str, upper: int):
     arity, needs_mul, equation = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equation, _extents(arith, equation, upper, arity, law in _TRANSPOSED) if equation else {}
+    return arity, equation, _extents(arith, equation, upper, arity) if equation else {}
 
 
 def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -155,13 +161,14 @@ def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
 def _distributivity(arith: Arithmetic, tables: dict, n: int):
     """(mask, 1, (lo, 0, 0)) of each chunk of leading indices of [0..n-1]^3, True where a(b + c) != ab + ac.
 
-    a(b + c) is one take of the chunk's rows of M by S[:n, :n], and ab + ac two takes of S for each a.
+    a(b + c) is one take of the chunk's columns of M by S[:n, :n], M's rows being the sums, whose range is
+    the larger, and ab + ac two takes of S for each a.
     """
     add, mul, index = tables.get("add"), tables.get("mul"), np.arange(n)
     rows = min(n, max(1, MAX_SCAN_CELLS // (n * n))) if add is not None and mul is not None else 1
     sums = (add[:n, :n] if add is not None else arith.index_table("add", index[:, None], index)).astype(np.intp)
     if mul is not None:
-        _bounded("mul", mul, index, sums)
+        _bounded("mul", mul, sums, index)
     # two sides and a mask, reused by every chunk; a short last chunk takes a prefix
     left, right, masks = (np.empty((rows, n, n), dtype) for dtype in (np.int32, np.int32, bool))
     for lo in range(0, n, rows):
@@ -170,7 +177,7 @@ def _distributivity(arith: Arithmetic, tables: dict, n: int):
             a = index[lo:hi, None]
             lhs, products = arith.index_table("mul", a[:, None], sums), arith.index_table("mul", a, index)
         else:
-            lhs, products = np.take(mul[lo:hi], sums, axis=1, out=left[:hi - lo], mode="wrap"), mul[lo:hi, :n]
+            lhs, products = np.take(mul[:, lo:hi].T, sums, axis=1, out=left[:hi - lo], mode="wrap"), mul[lo:hi, :n]
         if add is not None:
             _bounded("add", add, products, products)
         for p, out in zip(products, right):
@@ -243,11 +250,14 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
 
 
 def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int) -> list[LawReport]:
-    """The report of each of LAW_NAMES in names, in order, each op table built once, at the largest extent needed.
+    """The report of each of LAW_NAMES in names, in order, each op table built once, over every scan's rectangle.
 
     Every name is validated, and an oversize scan refused, before any table is
-    built.  Each scan allocates its own chunk buffers, so nothing outlives the
-    call but the memoised op tables.
+    built.  An op whose scans' rectangles span more than MAX_TABLE_CELLS
+    together (add, where assoc-add reads [0..add(R, R)] x [0..R] and
+    distributivity [0..mul(R, R)]^2) is left to each scan, which replaces
+    the memoised table with its own.  Each scan allocates its own chunk
+    buffers, so nothing outlives the call but the memoised op tables.
     """
     if unknown := [name for name in names if name not in LAW_NAMES]:
         raise ValueError(f"unknown law {unknown[0]!r}; choose from {', '.join(LAW_NAMES)}")
@@ -256,8 +266,9 @@ def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int
         plan = _plan(arith, law, upper) if law in _LAWS else None  # None for an Archimedean row, or not applicable
         for op, extent in (plan[2] if plan else {}).items():
             if extent is not None:
-                extents[op] = max(extents.get(op, 0), extent)
-    _tables(arith, extents)
+                larger, smaller = extents.get(op, extent)
+                extents[op] = (max(larger, extent[0]), max(smaller, extent[1]))
+    _tables(arith, {op: extent for op, extent in extents.items() if _cells(extent) <= MAX_TABLE_CELLS})
     return [check_law(arith, law, upper) if law in _LAWS else
             check_archimedean(arith, upper) if law == "archimedean" else
             verify_archimedean_theorem(arith, upper) for law in names]

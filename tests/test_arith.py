@@ -268,14 +268,19 @@ class TestIndexTable:
     def test_op_table_memoised(self, monkeypatch):
         a = arith("dual:pow:2@int:0:1000")
         full = a.index_table("add", np.arange(1001)[:, None], np.arange(1001)[None, :])
-        assert np.array_equal(a.op_table("add", 10), full[:11, :11])
-        assert np.array_equal(a.op_table("add", 1000), full)  # rebuilt larger, in blocks of rows
+        # a table that does not cover the rectangle asked for, by its rows or by its columns, is rebuilt over it
+        for rows, cols in ((10, 10), (40, 10), (40, 20), (30, 25), (1000, 1000)):
+            assert np.array_equal(a.op_table("add", rows, cols), full[:rows + 1, :cols + 1])
+            assert a._op_tables["add"].shape == (rows + 1, cols + 1)
+        with pytest.raises(ValueError, match="cols <= rows"):
+            a.op_table("add", 10, 20)
 
         def no_build(*args):
             raise AssertionError("a memoised table was rebuilt")
 
         monkeypatch.setattr(Arithmetic, "index_table", no_build)
         assert np.array_equal(a.op_table("add", 300), full[:301, :301])
+        assert np.array_equal(a.op_table("add", 1000, 300), full[:, :301])
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
     @pytest.mark.parametrize("f_spec, carrier_spec, dtype", [
@@ -285,19 +290,28 @@ class TestIndexTable:
         ("table:{mixed}", "int:0:399", object),
     ])
     def test_op_table_triangle_fills_the_square(self, tmp_path, kind, f_spec, carrier_spec, dtype):
-        """The upper triangle, built in row blocks and mirrored, is index_table on every cell.
+        """The upper triangle, built in row blocks and mirrored, is index_table on every cell, as are the rows past it.
 
         Extent 500 takes blocks of rows 0-129, 130-305 and 306-500, and 399 blocks of
         0-162 and 163-399, so no block edge falls on a multiple of another's height.
+        The rectangle [0..1000] x [0..300] takes rows 301-1000 against [0..300] in
+        blocks of 217 rows, the last one short.
         """
         mixed = tmp_path / "mixed.txt"  # int f at even points, float at odd ones past 1
         mixed.write_text("".join(f"{i} {i * i if i < 2 or i % 2 == 0 else i * i + 0.25}\n" for i in range(400)))
         a = arith(f"{kind}:{f_spec.format(mixed=mixed)}@{carrier_spec}")
         assert a._f_array.dtype == dtype
-        extent = min(500, a.carrier.size - 1)
-        full = np.arange(extent + 1)
+        top = a.carrier.size - 1
+        extent, full = min(500, top), np.arange(top + 1)
         for op in ("add", "mul"):
-            assert np.array_equal(a.op_table(op, extent), a.index_table(op, full[:, None], full[None, :]))
+            for rows, cols in ((top, top * 3 // 10), (extent, extent)):  # a rectangle, then a square that replaces it
+                table = a.op_table(op, rows, cols)
+                assert np.array_equal(table, a.index_table(op, full[:rows + 1, None], full[None, :cols + 1]))
+            assert table.shape == (extent + 1, extent + 1)
+        if kind == "dual":  # f(top) + f(1) passes f(top): the rectangle's cell is clamped to the top
+            assert a.op_table("add", top, 1)[top, 1] == top
+            with pytest.raises(CarrierExhaustedError):
+                a.add_index(top, 1)
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
     def test_mixed_int_float_table(self, tmp_path, kind):

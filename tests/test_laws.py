@@ -205,28 +205,33 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
     ("projective:id@int:0:100", "assoc-add", 44),
 ])
 def test_tiled_scan_bounded_by_the_cells_it_reads(spec, law, extent, monkeypatch, upper=22):
-    a, n = arith(spec), upper + 1
+    a, n, op = arith(spec), upper + 1, laws._TRANSPOSED[law]
     kind, name = spec.split("@")[0].split(":", 1)
-    reads = (extent + 1) * n + n * n  # the outer op over [0..M] x [0..R], the inner op over [0..R]^2
+    reads = (extent + 1) * n  # the outer op over [0..M] x [0..R], whose [0..R]^2 block is the inner op
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n * n)
     monkeypatch.setattr(laws, "MAX_TABLE_CELLS", reads)
-    assert n ** 3 > laws.MAX_SCAN_CELLS and (extent + 1) ** 2 > laws.MAX_TABLE_CELLS  # neither cube nor table fits
+    assert n ** 3 > laws.MAX_SCAN_CELLS and (extent + 1) ** 2 > laws.MAX_TABLE_CELLS  # neither cube nor square fits
     report = check_law(a, law, upper)
     assert (report.witness, report.violations) == reference_report(name, kind, law, upper, points=a.carrier.size)
+    assert a._op_tables[op].shape == (extent + 1, n)
     assert check_laws(a, [law], upper) == [report]
     monkeypatch.setattr(laws, "MAX_TABLE_CELLS", reads - 1)
     with pytest.raises(ValueError, match="exceeds the limit"):
         check_law(a, law, upper)
+    monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n ** 3)  # the cube fits: the outer op over the distinct inner values
+    assert laws._plan(a, law, upper)[2] == {op: None}
+    assert check_law(a, law, upper) == report
 
 
 def test_oversize_distributivity_still_refused(monkeypatch, upper=22):
-    # the limits under which test_tiled_scan_bounded_by_the_cells_it_reads admits assoc-mul
+    # the limits under which test_tiled_scan_bounded_by_the_cells_it_reads admits assoc-mul; mul's
+    # [0..34] x [0..22] fits them, add's [0..483]^2 does not
     a, n = arith("projective:pow:1.5@int:0:1000"), upper + 1
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n * n)
-    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 484 * n + n * n)
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 484 * n)
     assert check_law(a, "assoc-mul", upper).status == FAILS
     monkeypatch.setattr(Arithmetic, "index_table", no_table_past_the_corner(Arithmetic.index_table))
-    with pytest.raises(ValueError, match="exceeds the limit"):
+    with pytest.raises(ValueError, match=r"add table over \[0..483\] x \[0..483\] .* exceeds the limit"):
         check_law(a, "distributivity", upper)
 
 
@@ -280,22 +285,23 @@ def test_scan_past_the_table_bound_memory():
 
 @pytest.mark.parametrize("kind", ["projective", "dual"])
 @pytest.mark.parametrize("name, extents", [
-    # add's extent mul(22, 22), one below 22^2 = 484 by rounding where projective; mul's add(22, 22)
-    ("pow:1.5", {"projective": {"add": 483, "mul": 34}, "dual": {"add": 484, "mul": 35}}),
-    # add(22, 22) = 22 * 2^10 passes the top: mul's extent is clamped to it
-    ("pow:0.1", {"projective": {"add": 484, "mul": 1000}, "dual": {"add": 484, "mul": 1000}}),
-    # only add tabled too, where distributivity fails (pow:0.1 holds at R = 22)
-    ("pow:0.2", {"projective": {"add": 484, "mul": 704}, "dual": {"add": 485, "mul": 704}}),
+    # R = 22: add's [0..mul(R, R)]^2, mul(R, R) one below 22^2 = 484 by rounding where projective
+    ("pow:1.5", {"projective": {"add": (483, 483), "mul": (34, 22)}, "dual": {"add": (484, 484), "mul": (35, 22)}}),
+    # R = 10: add(10, 10) = 10 * 2^10 passes the top, and mul's 1,001 x 11 cells pass add's 101^2: only add is tabled
+    ("pow:0.1", {"projective": {"add": (100, 100), "mul": (1000, 10)}, "dual": {"add": (100, 100), "mul": (1000, 10)}}),
+    # R = 5: only add tabled too, where distributivity fails (pow:0.1 holds at R = 10), mul's rows below the top
+    ("pow:0.2", {"projective": {"add": (25, 25), "mul": (160, 5)}, "dual": {"add": (25, 25), "mul": (160, 5)}}),
 ])
-def test_distributivity_with_one_op_tabled(name, extents, kind, monkeypatch, upper=22):
+def test_distributivity_with_one_op_tabled(name, extents, kind, monkeypatch):
+    upper = extents[kind]["mul"][1]  # distributivity's mul table is [0..add(R, R)] x [0..R]
     a, n = arith(f"{kind}:{name}@int:0:1000"), upper + 1
     assert laws._plan(a, "distributivity", upper)[2] == extents[kind]
     whole = check_law(a, "distributivity", upper)  # both ops tabled, the cube in one chunk
     assert (whole.witness, whole.violations) == reference_report(name, kind, "distributivity", upper, points=1001)
-    (small, tabled), (large, _) = sorted((extent, op) for op, extent in extents[kind].items())
-    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", (small + 1) ** 2)  # only the op of the smaller extent has a table
+    (small, tabled), (large, _) = sorted((laws._cells(extent), op) for op, extent in extents[kind].items())
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", small)  # only the op of the smaller table has one
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n ** 3)  # the least that admits a scan with an untabled op
-    assert (large + 1) ** 2 > laws.MAX_TABLE_CELLS
+    assert large > laws.MAX_TABLE_CELLS
     cells, index_table = [], Arithmetic.index_table
     monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
         cells.append(np.broadcast(rows, cols).size), index_table(self, op, rows, cols))[1])
@@ -419,15 +425,70 @@ def test_operand_past_a_short_table_raises(law, monkeypatch):
 
 
 def test_each_op_table_is_built_once_per_audit(monkeypatch):
-    # the commutativity laws need add and mul over [0..30]^2; assoc-mul needs mul over
-    # [0..59]^2 (mul(30, 30) = 59) and distributivity add over [0..59]^2 (add(59, 59))
+    # assoc-mul and distributivity need mul over [0..59] x [0..30] (mul(30, 30) = 59, add(30, 30) = 30), and
+    # assoc-add add over [0..30]^2 and distributivity over [0..59]^2 (add(59, 59))
     a = Arithmetic.from_spec("projective:exp2m1@int:0:100")
     built = []
     index_table = Arithmetic.index_table
     monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
         np.size(rows) > 1 and built.append((op, rows.size)), index_table(self, op, rows, cols))[1])
     check_laws(a, ALL_LAWS, 30)
-    assert sorted(built) == [("add", 60), ("mul", 60)]  # one block of rows each, beside the one-cell corners
+    # one block of rows each, beside the one-cell corners: add's [0..59]^2, mul's [0..30]^2 and its rows 31..59
+    assert sorted(built) == [("add", 60), ("mul", 29), ("mul", 31)]
+    assert {op: t.shape for op, t in a._op_tables.items()} == {"add": (60, 60), "mul": (60, 31)}
+
+
+def assert_tables_are_index_table(a):
+    for op, table in a._op_tables.items():
+        rows, cols = (np.arange(size) for size in table.shape)
+        assert np.array_equal(table, a.index_table(op, rows[:, None], cols[None, :])), op
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    # mul's [0..mul(R, R)] x [0..R], mul(300, 300) = 599, and add's [0..mul(R, R)]^2, from distributivity
+    ("projective:exp2m1@int:0:1000", {"add": (600, 600), "mul": (600, 301)}),
+    # mul(300, 300) passes the top, which ends both tables' rows
+    ("dual:pow:2@int:0:1000", {"add": (1001, 1001), "mul": (1001, 301)}),
+])
+def test_audit_tables_cover_only_what_the_scans_read(spec, shapes):
+    a = arith(spec)
+    check_laws(a, LAW_NAMES, 300)
+    assert {op: t.shape for op, t in a._op_tables.items()} == shapes
+    assert_tables_are_index_table(a)
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+def test_tables_where_a_product_falls_below_its_operands(kind, upper=10):
+    # on [0, 2] by 0.05, R = 10 is 0.5 and mul(R, R) = 5 < R: assoc-mul's outer op mul(mul(R, R), R) takes the
+    # product as its smaller operand, so its table is [0..R]^2, and distributivity's mul(R, R + R) the sum as its larger
+    a = arith(f"{kind}:pow:2@grid:0:2:0.05")
+    add, mul, n = a.add_index, a.mul_index, upper + 1
+    assert mul(upper, upper) == 5
+    assert laws._plan(a, "assoc-mul", upper)[2] == {"mul": (upper, upper)}
+    assert laws._plan(a, "distributivity", upper)[2] == {"add": (upper, upper), "mul": (add(upper, upper), upper)}
+    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    laws_held = {"assoc-mul": lambda i, j, k: mul(mul(i, j), k) == mul(i, mul(j, k)),
+                 "distributivity": lambda i, j, k: mul(i, add(j, k)) == add(mul(i, j), mul(i, k))}
+    reports = check_laws(a, list(laws_held), upper)
+    for report, holds in zip(reports, laws_held.values()):
+        violations = [t for t in cells if not holds(*t)]
+        witness = smallest_witness(violations)
+        assert (report.witness, report.violations) == (witness and tuple(map(a.carrier.value_at, witness)),
+                                                       len(violations))
+    assert_tables_are_index_table(a)
+
+
+def test_rectangles_past_the_bound_together_are_built_per_scan(monkeypatch, upper=10):
+    # add(10, 10) passes the top: assoc-add reads add over [0..1000] x [0..10] and distributivity over [0..100]^2
+    a = arith("projective:pow:0.1@int:0:1000")
+    assert [laws._plan(a, law, upper)[2]["add"] for law in ("assoc-add", "distributivity")] == [(1000, 10), (100, 100)]
+    expected = check_laws(arith(a.spec), ALL_LAWS, upper)
+    monkeypatch.setattr(laws, "MAX_TABLE_CELLS", 1001 * 11)  # each fits, [0..1000] x [0..100] does not
+    sizes, op_table = [], Arithmetic.op_table
+    monkeypatch.setattr(Arithmetic, "op_table", lambda self, op, *extents: (
+        op_table(self, op, *extents), sizes.append(self._op_tables[op].size))[0])
+    assert check_laws(a, ALL_LAWS, upper) == expected
+    assert max(sizes) == laws.MAX_TABLE_CELLS
 
 
 def test_no_buffer_outlives_the_audit():
