@@ -16,11 +16,11 @@ a strictly increasing array, the arithmetic's one copy of f, and every
 operation is a search over it, decided by exact comparisons.  Single
 operations bisect a Python list of the same values and types, built from
 the array by tolist() on the first of them, so a law audit never builds
-it.  Whole tables of operations (``index_table``) run one
-``np.searchsorted`` over the array where its dtype holds every target of
-the op exactly: float64 always, int64 for add while 2 f(top) < 2^63 and
-for mul while f(top)^2 < 2^63.  Over exact Python numbers (ints past
-that, or ints mixed with floats) a float64 log2 key of each target only
+it.  Whole tables of operations (``index_table``) search the array in its
+own dtype: one ``np.searchsorted`` over float64 or int64, where a target
+past f(top), which lands on the top in either kind, is searched as f(top),
+so no int64 sum or product wraps.  Over exact Python numbers (ints past
+int64, or ints mixed with floats) a float64 log2 key of each target only
 ranks a candidate index: exact comparisons with f there and at its
 neighbour confirm it or move it one index, twice at most, and the cells
 still unbracketed go to the exact ``np.searchsorted``, so float64 never
@@ -54,6 +54,7 @@ from .funcparam import from_spec as f_from_spec
 
 PROJECTIVE = "projective"
 DUAL = "dual"
+BLOCK_CELLS = 1 << 16  # about the cells of one index_table call in a blocked build or scan: temporaries stay small
 
 
 class Arithmetic:
@@ -114,22 +115,11 @@ class Arithmetic:
                 f"target {target} exceeds f(top) = {fv[-1]} on {self.carrier.spec}")
         return i
 
-    def _op_values(self, op: str) -> np.ndarray:
-        """The f values op's table searches: the bound array wherever its dtype holds every target exactly."""
-        fv = self._f_array
-        if fv.dtype == np.int64 and (2 * int(fv[-1]) if op == "add" else int(fv[-1]) ** 2) >= 2 ** 63:
-            return self._f_objects
-        return fv
-
-    @cached_property
-    def _f_objects(self) -> np.ndarray:
-        return self._f_array.astype(object, copy=False)  # Python numbers, whose int sums and products are exact
-
     @cached_property
     def _f_log2(self) -> np.ndarray:
-        # float64 keys that rank an object search's candidates, built on its first table; float() refuses an
-        # int from FLOAT_RANGE_END on, and past it bind keeps only ints (and +inf at the top), as math.log2 takes
-        fv = self._f_objects
+        # float64 keys that rank the candidates of an object f's search, built on its first table; float() refuses
+        # an int from FLOAT_RANGE_END on, and past it bind keeps only ints (and +inf at the top), as math.log2 takes
+        fv = self._f_array
         big = int(np.searchsorted(fv, FLOAT_RANGE_END))
         with np.errstate(divide="ignore"):  # log2 0 is -inf
             return np.concatenate([np.log2(fv[:big].astype(np.float64)), np.fromiter(map(log2, fv[big:]), float)])
@@ -178,17 +168,22 @@ class Arithmetic:
         Where a dual target passes f(top), the cell is clamped to the top
         instead of raising: this is the finite-window view that law scans use,
         so every cell of a table is defined.  Over float64 and int64 values
-        each cell is one np.searchsorted; over exact Python numbers a float64
-        log2 key of each target picks a candidate index that _settle confirms
-        or moves by exact comparisons, so float64 only ranks candidates.
+        each cell is one np.searchsorted, an int64 target past f(top) searched
+        as f(top); over exact Python numbers a float64 log2 key of each target
+        picks a candidate index that _settle confirms or moves by exact
+        comparisons, so float64 only ranks candidates.
         """
         if op == "mul":
             self._require_mul()
-        fv = self._op_values(op)
-        x, y = fv[rows], fv[cols]
+        fv = self._f_array
+        x, y, top = fv[rows], fv[cols], fv[-1]
+        if fv.dtype == np.int64 and (2 * int(top) if op == "add" else int(top) ** 2) >= 2 ** 63:
+            past = x > top - y if op == "add" else y > top // np.maximum(x, 1)  # x + y or x * y > f(top), exactly
+            y = np.where(past, 0, y)  # so no int64 op wraps
+            return self._search(fv, np.where(past, top, x + y if op == "add" else x * y)).astype(np.int32)
         if op == "add":
             target = x + y
-        elif fv[-1] == inf:
+        elif top == inf:
             with np.errstate(invalid="ignore"):  # inf * 0 is masked to 0 below
                 target = np.where((x == 0) | (y == 0), 0, x * y)
         else:
@@ -214,12 +209,12 @@ class Arithmetic:
             n, w = rows + 1, cols + 1
             table = np.empty((n, w), dtype=np.int32)
             index, lo = np.arange(n), 0
-            while lo < w:  # [0..cols]^2 as upper-triangle blocks of some 64K cells, which keep temporaries small
-                hi = min(w, lo + max(1, (1 << 16) // (w - lo)))
+            while lo < w:  # [0..cols]^2 as upper-triangle blocks of some BLOCK_CELLS cells
+                hi = min(w, lo + max(1, BLOCK_CELLS // (w - lo)))
                 table[lo:hi, lo:] = block = self.index_table(op, index[lo:hi, None], index[None, lo:w])
                 table[lo:w, lo:hi] = block.T  # op commutes: its targets f(i) + f(j) and f(i) * f(j) do
                 lo = hi
-            step = max(1, (1 << 16) // w)
+            step = max(1, BLOCK_CELLS // w)
             for lo in range(w, n, step):  # then the rows past cols, against [0..cols]
                 table[lo:lo + step] = self.index_table(op, index[lo:lo + step, None], index[None, :w])
             self._op_tables[op] = table

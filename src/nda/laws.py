@@ -49,7 +49,7 @@ from functools import reduce
 
 import numpy as np
 
-from .arith import Arithmetic
+from .arith import BLOCK_CELLS, Arithmetic
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -275,10 +275,10 @@ def check_laws(arith: Arithmetic, names: list[str] | tuple[str, ...], upper: int
 
 
 def _stuck(arith: Arithmetic, upper: int) -> int | None:
-    """Least b in [1, R) with b + 1 = b, or None: index_table in op_table's blocks of some 64K cells, to the first hit."""
+    """Least b in [1, R) with b + 1 = b, or None: index_table in blocks of BLOCK_CELLS cells, to the first hit."""
     _check_upper(arith, upper)
-    for lo in range(1, upper, 1 << 16):
-        b = np.arange(lo, min(upper, lo + (1 << 16)))
+    for lo in range(1, upper, BLOCK_CELLS):
+        b = np.arange(lo, min(upper, lo + BLOCK_CELLS))
         stuck = np.flatnonzero(arith.index_table("add", b, 1) == b)
         if stuck.size:
             return lo + int(stuck[0])

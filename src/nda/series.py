@@ -93,10 +93,7 @@ def from_spec(spec: str) -> SequenceSpec:
                 raise SpecError(f"ratio must be finite and positive in {spec!r}")
             return SequenceSpec(head, param=r)
         if head == LIST:
-            values = tuple(parse_number(part) for part in rest.split(","))
-            if not values:
-                raise SpecError(f"empty list in {spec!r}")
-            return SequenceSpec(LIST, values=values)
+            return SequenceSpec(LIST, values=tuple(parse_number(part) for part in rest.split(",")))
     except ValueError:
         raise SpecError(f"bad number in sequence spec {spec!r}") from None
     raise SpecError(f"unknown sequence spec {spec!r} (want const:, powfact:, factpow: or list:)")

@@ -17,7 +17,7 @@ from nda.funcparam import from_spec as f_from_spec
 from nda.series import arith_partial_sums
 from nda.series import from_spec as seq_from_spec
 
-from reference import f_values, ref_add
+from reference import f_values, ref_add, ref_mul
 
 
 def arith(spec):
@@ -321,34 +321,46 @@ class TestIndexTable:
         assert_index_table_exact(a, ("add", "mul"))
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
-    @pytest.mark.parametrize("values, dtypes", [
-        ([0, 1] + [10 ** 30 + k for k in range(60)], (object, object)),  # every float log2 key past index 1 is equal
-        # distinct ints that share one float64: sums fit int64, products do not
-        ([0, 1] + [2 ** 60 + k for k in range(60)], (np.int64, object)),
-        ([0, 1] + [2 ** 62 + k for k in range(60)], (object, object)),  # the same with sums past int64 too
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 1] + [10 ** 30 + k for k in range(60)], object),  # every float log2 key past index 1 is equal
+        # distinct ints that share one float64: sums fit int64, products pass f(top) and are saturated
+        ([0, 1] + [2 ** 60 + k for k in range(60)], np.int64),
+        ([0, 1] + [2 ** 62 + k for k in range(60)], np.int64),  # the same with sums saturated too
+        ([0, 1] + [2 ** 64 + k for k in range(60)], object),  # the same past int64: the exact search
         # ints and floats mixed, past 2^53 and up to f(top) = inf, where products of 0 are masked
         ([0, 1, 2.5, 4, 7.25, 11, 2 ** 53 + 1, 2.0 ** 54, 2 ** 54 + 1, 2 ** 70 + 3, 1e30, 10 ** 31 + 1,
-          1e300, float("inf")], (object, object)),
-        ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], (np.float64, np.float64)),  # the same mask in float64
-    ], ids=["log2-collisions", "float64-collisions", "float64-collisions-past-int64", "mixed-to-inf",
-            "floats-to-inf"])
-    def test_adversarial_tables(self, tmp_path, kind, values, dtypes):
+          1e300, float("inf")], object),
+        ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], np.float64),  # the same mask in float64
+    ], ids=["log2-collisions", "float64-collisions", "float64-collisions-past-int64", "float64-collisions-object",
+            "mixed-to-inf", "floats-to-inf"])
+    def test_adversarial_tables(self, tmp_path, kind, values, dtype):
         """Targets whose float64 log2 keys tie or mislead still land on the exact index."""
         path = tmp_path / "f.txt"
         path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values)))
         a = arith(f"{kind}:table:{path}@int:0:{len(values) - 1}")
-        assert (a._op_values("add").dtype, a._op_values("mul").dtype) == dtypes
+        assert a._f_array.dtype == dtype  # the one dtype both ops search
         assert_index_table_exact(a, ("add", "mul"))
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
-    def test_add_searches_int64_where_only_sums_fit(self, kind, monkeypatch):
-        # f(top) = 10^18: 2 f(top) fits int64, f(top)^2 does not
+    def test_add_searches_int64_where_only_sums_fit(self, kind):
+        # f(top) = 10^18: 2 f(top) fits int64, f(top)^2 does not, so mul saturates its targets past f(top)
         a = arith(f"{kind}:pow:3@int:0:1000000")
-        assert (a._f_array.dtype, a._op_values("add").dtype, a._op_values("mul").dtype) == (np.int64, np.int64, object)
-        rows = np.arange(a.carrier.size)
-        column = a.index_table("add", rows, 1)
-        monkeypatch.setattr(a, "_op_values", lambda op: a._f_objects)  # the exact search over Python ints
-        assert np.array_equal(a.index_table("add", rows, 1), column)
+        top = a.carrier.size - 1
+        rows = np.r_[:3000, 3000:top:997, top - 2:top + 1]  # mul's column of j = 1000 saturates from i = 1001
+        for op, apply in (("add", a.add_index), ("mul", a.mul_index)):
+            for j in (0, 1, 2, 1000, top):
+                assert a.index_table(op, rows, j).tolist() == [scalar_cell(apply, i, j, top) for i in rows]
+        assert a._f_array.dtype == np.int64 and "_f_log2" not in vars(a)
+
+    @pytest.mark.parametrize("kind", ["projective", "dual"])
+    def test_int64_f_saturates_past_f_top(self, kind):
+        # f(63) = 2^63 - 1, the largest int64 value: both ops saturate, and no int64 sum or product may wrap
+        a, idx, fvals = arith(f"{kind}:exp2m1@int:0:63"), np.arange(64), f_values("exp2m1", 64)
+        for op, ref in (("add", ref_add), ("mul", ref_mul)):
+            expected = [[ref(fvals, kind, i, j) for j in range(64)] for i in range(64)]
+            assert a.index_table(op, idx[:, None], idx[None, :]).tolist() == expected
+            assert a.op_table(op, 63).tolist() == expected
+        assert a._f_array.dtype == np.int64 and "_f_log2" not in vars(a)
 
     def test_dual_exp2m1_past_600(self):
         assert_index_table_exact(arith("dual:exp2m1@int:0:600"), ("add", "mul"))

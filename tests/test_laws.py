@@ -240,16 +240,18 @@ def test_oversize_distributivity_still_refused(monkeypatch, upper=22):
     # assoc-add with one leading index a chunk: a=2 holds violations, the witness (3, 4, 4) the next chunk
     ("projective:pow:1.2@int:0:40", "float64"),
     ("dual:pow:2@int:0:40", "int64"),
-    ("projective:exp2m1@int:0:40", "object"),
-    ("dual:exp2m1@int:0:40", "object"),
+    ("projective:exp2m1@int:0:40", "int64"),  # f(40)^2 passes 2^63: mul saturates its targets past f(top)
+    ("dual:exp2m1@int:0:40", "int64"),
+    ("projective:exp2m1@int:0:70", "object"),  # f(70) passes int64: the exact search
+    ("dual:exp2m1@int:0:70", "object"),
 ])
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monkeypatch, upper=22):
     a = arith(spec)
-    assert a._op_values("mul").dtype == dtype  # add's is int64 on exp2m1, whose 2 f(40) fits
+    assert a._f_array.dtype == dtype  # the one dtype both ops search
     whole = check_law(a, law, upper)
     kind, name = spec.split("@")[0].split(":", 1)
-    assert (whole.witness, whole.violations) == reference_report(name, kind, law, upper, points=41)
+    assert (whole.witness, whole.violations) == reference_report(name, kind, law, upper, points=a.carrier.size)
     arity = laws._LAWS[law][0]
     for rows in (1, 4):  # 4 does not divide R + 1 = 23, so the last chunk is short
         monkeypatch.setattr(laws, "MAX_SCAN_CELLS", rows * (upper + 1) ** (arity - 1))
@@ -315,16 +317,18 @@ def test_distributivity_with_one_op_tabled(name, extents, kind, monkeypatch):
     ("projective:pow:1.5@int:0:40", "float64"),
     ("projective:pow:1.2@int:0:40", "float64"),
     ("dual:pow:2@int:0:40", "int64"),
-    ("projective:exp2m1@int:0:40", "object"),
-    ("dual:exp2m1@int:0:40", "object"),
+    ("projective:exp2m1@int:0:40", "int64"),  # f(40)^2 passes 2^63: mul saturates its targets past f(top)
+    ("dual:exp2m1@int:0:40", "int64"),
+    ("projective:exp2m1@int:0:70", "object"),  # f(70) passes int64: the exact search
+    ("dual:exp2m1@int:0:70", "object"),
     ("dual:quad@int:0:40", "int64"),
 ])
 @pytest.mark.parametrize("law", ["assoc-add", "assoc-mul"])
 def test_tiled_assoc_scan_matches_reference(spec, dtype, law, monkeypatch, upper=22):
     a = arith(spec)
-    assert a._op_values("mul").dtype == dtype  # add's is int64 on exp2m1, whose 2 f(40) fits
+    assert a._f_array.dtype == dtype  # the one dtype both ops search
     kind, name = spec.split("@")[0].split(":", 1)
-    expected = reference_report(name, kind, law, upper, points=41)
+    expected = reference_report(name, kind, law, upper, points=a.carrier.size)
     for tile in (1, 3, 23):  # 3 does not divide R + 1 = 23, so the last block is short
         monkeypatch.setattr(laws, "ASSOC_TILE", tile)
         report = check_law(a, law, upper)
@@ -504,10 +508,12 @@ def test_no_buffer_outlives_the_audit():
 
 
 def test_archimedean_row_builds_no_object_array():
-    # f(top) = 10^18: add searches int64, though mul would need Python ints
-    a = arith("projective:pow:3@int:0:1000000")
-    assert check_laws(a, ["archimedean"], 100)[0].status == FAILS
-    assert a._fvals == [] and not {"_f_objects", "_f_log2"} & vars(a).keys()
+    # f(top) = 10^18: add's targets fit int64, mul's would not; f(top) = 8 10^18: add's pass 2^63 and saturate
+    for spec, upper in (("projective:pow:3@int:0:1000000", 100), ("projective:pow:3@int:0:2000000", 1_999_999)):
+        a = arith(spec)
+        report = check_laws(a, ["archimedean"], upper)[0]
+        assert (report.status, report.witness) == (FAILS, (1, 2))
+        assert a._f_array.dtype == np.int64 and a._fvals == [] and "_f_log2" not in vars(a)
 
 
 def test_archimedean_rows_on_a_million_points_memory():
@@ -629,7 +635,7 @@ class TestTheorem:
     ("dual:pow:2@int:0:40", "int64"),
     ("projective:id@int:0:40", "int64"),
     ("dual:quad@int:0:40", "int64"),
-    ("projective:exp2m1@int:0:40", "int64"),  # 2 f(40) fits int64, though f(40)^2 does not
+    ("projective:exp2m1@int:0:40", "int64"),  # f(40)^2 passes 2^63, but add, the one op both rows read, fits
     ("dual:exp2m1@int:0:40", "int64"),
     # f(x) = x up to 12, then 3x^2: 12 + 1 rounds down to 12, so the sums of 1 stop at 12
     ("projective:table:{path}@int:0:40", "int64"),
@@ -646,7 +652,7 @@ def test_archimedean_rows_match_reference(spec, dtype, tmp_path):
     for key, table in tables.items():
         (tmp_path / f"{key}.tbl").write_text("".join(f"{x} {v!r}\n" for x, v in enumerate(table)))
     a = arith(spec.format(**{key: tmp_path / f"{key}.tbl" for key in tables}))
-    assert a._op_values("add").dtype == dtype  # the one op both rows read
+    assert a._f_array.dtype == dtype
     kind, name = spec.split("@")[0].split(":", 1)
     top, value = a.carrier.size - 1, a.carrier.value_at
     if name.startswith("table"):
