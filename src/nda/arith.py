@@ -181,13 +181,10 @@ class Arithmetic:
             past = x > top - y if op == "add" else y > top // np.maximum(x, 1)  # x + y or x * y > f(top), exactly
             y = np.where(past, 0, y)  # so no int64 op wraps
             return self._search(fv, np.where(past, top, x + y if op == "add" else x * y)).astype(np.int32)
-        if op == "add":
-            target = x + y
-        elif top == inf:
-            with np.errstate(invalid="ignore"):  # inf * 0 is masked to 0 below
-                target = np.where((x == 0) | (y == 0), 0, x * y)
-        else:
-            target = x * y
+        with np.errstate(over="ignore", invalid="ignore"):  # a float past the double range is inf, as in the scalar ops
+            target = x + y if op == "add" else x * y
+            if op == "mul" and top == inf:  # inf * 0 is NaN: masked to 0
+                target = np.where((x == 0) | (y == 0), 0, target)
         if fv.dtype != object:
             return self._search(fv, target).astype(np.int32)  # half the memory of intp in gathered law scans
         lx, ly = self._f_log2[rows], self._f_log2[cols]

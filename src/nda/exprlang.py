@@ -22,9 +22,9 @@ parse_text is one operator-precedence loop over the lexemes of ``findall``:
 it keeps a list of operands and a list of pending operators, and an
 operator first reduces every pending one of higher or equal precedence, so
 equal precedence folds left.  Relations rank lowest and '(' marks where a
-')' stops reducing.  It builds no Token: only when the loop fails does
-tokenize lex the text again, for byte offsets, and so an unknown character
-anywhere raises its LexError before any ParseError.  Nodes are named tuples
+')' stops reducing.  It keeps no byte offsets: only when the loop fails does
+_offsets lex the text again for them, and so an unknown character anywhere
+raises its LexError before any ParseError.  Nodes are named tuples
 and compare as tuples, so ``Literal(1) == (1,)``.
 """
 
@@ -37,30 +37,10 @@ from typing import NamedTuple
 from .arith import Arithmetic
 from .errors import LexError, OffCarrierError, ParseError
 
-NUMBER = "number"
-PLUS = "plus"
-MINUS = "minus"
-STAR = "star"
-LPAREN = "lparen"
-RPAREN = "rparen"
-EQEQ = "eqeq"
-NEQ = "neq"
-LT = "lt"
-MLL = "mll"
-MLLL = "mlll"
-
 # ASCII only: [0-9] and not \d, which also takes Unicode digits such as '٣'
 _LEXEME = re.compile(r"[-+*()]|[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[^ \t\r\n]")
 _DIGITS = frozenset("0123456789")
-_KINDS = {"+": PLUS, "-": MINUS, "*": STAR, "(": LPAREN, ")": RPAREN, "==": EQEQ, "!=": NEQ,
-          "<": LT, "<<": MLL, "<<<": MLLL}  # any other lexeme is a NUMBER or an unknown character
 MAX_DEPTH = 200
-
-
-class Token(NamedTuple):
-    kind: str
-    lexeme: str
-    position: int  # byte offset into the input
 
 
 class Literal(NamedTuple):
@@ -82,22 +62,6 @@ class Relation(NamedTuple):
 Node = Literal | Binary | Relation
 
 
-def tokenize(text: str) -> list[Token]:
-    """Longest-match lexing; '<<<' before '<<' before '<'.
-
-    Only ASCII is consumed and the first other character raises, so a
-    character index into text is also its byte offset.
-    """
-    tokens = []
-    for match in _LEXEME.finditer(text):
-        lexeme, position = match.group(), match.start()
-        kind = _KINDS.get(lexeme, NUMBER)
-        if kind == NUMBER and lexeme[0] not in _DIGITS:
-            raise LexError(f"unknown character {lexeme!r}", position)
-        tokens.append(Token(kind, lexeme, position))
-    return tokens
-
-
 _OPEN = (-1,)  # the pending-operator mark of an open parenthesis, ranked below every operator
 # lexeme -> (precedence, node type, op); relations rank lowest
 _OPERATORS = {"+": (1, Binary, "add"), "-": (1, Binary, "sub"), "*": (2, Binary, "mul"),
@@ -105,16 +69,31 @@ _OPERATORS = {"+": (1, Binary, "add"), "-": (1, Binary, "sub"), "*": (2, Binary,
               "<<": (0, Relation, "mll"), "<<<": (0, Relation, "mlll")}
 
 
+def _offsets(text: str) -> list[tuple[str, int]]:
+    """(lexeme, byte offset) pairs; raises the LexError of the first unknown character.
+
+    Every non-ASCII character is unknown, so a character index before the first is also a byte offset.
+    """
+    pairs = []
+    for match in _LEXEME.finditer(text):
+        lexeme, offset = match.group(), match.start()
+        if lexeme[0] not in _DIGITS and lexeme not in _OPERATORS and lexeme not in ("(", ")"):
+            raise LexError(f"unknown character {lexeme!r}", offset)
+        pairs.append((lexeme, offset))
+    return pairs
+
+
 def _error(text: str, left: int, message: str) -> ParseError:
     """message before the lexeme that has left lexemes after it, or at the end of input for left == -1.
 
     Lexes text again for the offsets, and so raises any unknown character's LexError instead.
     """
-    tokens = tokenize(text)
+    pairs = _offsets(text)
     if left >= 0:
-        return ParseError(f"{message} before {tokens[-1 - left].lexeme!r}", tokens[-1 - left].position)
-    end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
-    return ParseError(f"{message} at end of input", end)
+        lexeme, offset = pairs[-1 - left]
+        return ParseError(f"{message} before {lexeme!r}", offset)
+    lexeme, offset = pairs[-1] if pairs else ("", 0)
+    return ParseError(f"{message} at end of input", offset + len(lexeme))
 
 
 def _depth(node: Node) -> int:
@@ -144,7 +123,7 @@ def parse_text(text: str) -> Node:
                         push(new(Literal, (int(lexeme),)))
                     except ValueError:  # an int past Python's limit on digits converted from a string
                         raise ParseError(f"literal of {len(lexeme)} digits is too long",
-                                         tokenize(text)[-1 - length_hint(rest)].position) from None
+                                         _offsets(text)[-1 - length_hint(rest)][1]) from None
                 want = False
             elif lexeme == "(" and nesting < MAX_DEPTH:
                 nesting += 1

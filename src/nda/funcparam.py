@@ -43,7 +43,7 @@ from operator import length_hint
 
 import numpy as np
 
-from .carrier import GRID_TOLERANCE, INTEGER_RANGE, Carrier
+from .carrier import GRID_TOLERANCE, INTEGER_RANGE, MAX_SIZE, Carrier
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
 
 IDENTITY = "identity"
@@ -213,8 +213,12 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, np
     top of them: all rounding searches run against them.  They are int64 or
     float64 where that dtype holds every value exactly and every value has
     that Python type, and object (exact Python numbers) otherwise.  A
-    rejected f returns the values before the failing check's point.
+    rejected f returns the values before the failing check's point, and an
+    integral power whose f(top) would pass MAX_SIZE bits is refused with none.
     """
+    if carrier.kind == INTEGER_RANGE and f.family == POWER and _is_exact(POWER, f.param) \
+            and f.param * math.log2(carrier.max) >= MAX_SIZE:  # f(top) has floor(p log2 top) + 1 bits
+        return _failure(carrier.size - 1, f"f({carrier.max}) has more than {MAX_SIZE:,} bits", 0), np.empty(0, np.int64)
     values, undefined = _evaluate(f, carrier)
     failed = _first_failing_point(values)
     if failed is not None:

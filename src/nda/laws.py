@@ -198,10 +198,10 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
     if table is None:  # too large: the outer op over the distinct inner values x [0..n-1]
         values, inner = np.unique(arith.index_table(op, index[:, None], index), return_inverse=True)
         inner, outer = inner.reshape(n, n), arith.index_table(op, values[:, None], index)
-    else:
+    else:  # the takes below wrap, so every operand is checked first
+        _bounded(op, table, index, index)
         inner, outer = table[:n, :n], table[:, :n]
-        if inner.shape != (n, n) or outer.shape[1] < n or inner.max() >= len(table):  # takes below wrap
-            raise IndexError(f"{op} operand past its table of shape {table.shape}")
+        _bounded(op, table, inner, index)
     starts, narrow = range(0, n, ASSOC_TILE), np.min_scalar_type(outer.max())
     cols = [np.ascontiguousarray(outer[:, lo:lo + ASSOC_TILE], narrow) for lo in starts]  # every row read
     rows = [np.ascontiguousarray(inner[:, lo:lo + ASSOC_TILE], np.intp) for lo in starts]

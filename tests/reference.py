@@ -123,24 +123,52 @@ def ref_least_absorption(fvals: list, kind: str, upper: int) -> tuple | None:
 
 @functools.cache
 def _recursive_descent():
-    """exprlang.parse_text as the recursive-descent parser it once was, unchanged.
+    """(exprlang.parse_text as the recursive-descent parser it once was, its offset lexer).
 
-    Built on first use: the benchmark imports this module without nda on its path.
+    Its lexer, kinds and depth count are its own: it takes only the node types
+    and MAX_DEPTH from exprlang.  Built on first use: the benchmark imports this
+    module without nda on its path.
     """
-    from nda.errors import ParseError
-    from nda.exprlang import (_DIGITS, _KINDS, EQEQ, LPAREN, LT, MAX_DEPTH, MINUS, MLL, MLLL, NEQ, NUMBER, PLUS,
-                              RPAREN, STAR, Binary, Literal, Node, Relation, _depth, tokenize)
+    from nda.errors import LexError, ParseError
+    from nda.exprlang import MAX_DEPTH, Binary, Literal, Node, Relation
 
     _LEXEME = re.compile(r"[0-9]+(?:\.[0-9]+)?|<{1,3}|==|!=|[-+*()]|[^ \t\r\n]")  # its own order of branches
-    _RELATION_KINDS = {EQEQ: "eq", NEQ: "neq", LT: "lt", MLL: "mll", MLLL: "mlll"}
-    _ADDITIVE_KINDS = {PLUS: "add", MINUS: "sub"}
+    _KINDS = {"+": "plus", "-": "minus", "*": "star", "(": "lparen", ")": "rparen", "==": "eqeq", "!=": "neq",
+              "<": "lt", "<<": "mll", "<<<": "mlll"}
+    _RELATION_KINDS = {"eqeq": "eq", "neq": "neq", "lt": "lt", "mll": "mll", "mlll": "mlll"}
+    _ADDITIVE_KINDS = {"plus": "add", "minus": "sub"}
+
+    def _kind(lexeme: str) -> str:
+        return _KINDS.get(lexeme) or ("number" if lexeme[0] in "0123456789" else "unknown")
 
     def _lex(text: str) -> tuple[list[str], list[str | None]]:
-        """The lexemes of text and their kinds, then a None past the last; an unknown character is a NUMBER here."""
+        """The lexemes of text and their kinds, then a None past the last."""
         lexemes = _LEXEME.findall(text)
-        kinds = [_KINDS.get(lexeme, NUMBER) for lexeme in lexemes]
+        kinds = [_kind(lexeme) for lexeme in lexemes]
         kinds.append(None)
         return lexemes, kinds
+
+    def _offsets(text: str) -> list[tuple[str, int]]:
+        """(lexeme, UTF-8 byte offset) pairs; raises the LexError of the first unknown character."""
+        pairs, offset, start = [], 0, 0
+        for match in _LEXEME.finditer(text):
+            offset += len(text[start:match.start()].encode())  # the bytes since the last lexeme began
+            lexeme, start = match.group(), match.start()
+            if _kind(lexeme) == "unknown":
+                raise LexError(f"unknown character {lexeme!r}", offset)
+            pairs.append((lexeme, offset))
+        return pairs
+
+    def _depth(node: Node) -> int:
+        """Operators on the longest root-to-leaf path, by an explicit stack."""
+        deepest, stack = 0, [(node, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if isinstance(node, Literal):
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        return deepest
 
     class _Parser:
         def __init__(self, text: str):
@@ -150,11 +178,11 @@ def _recursive_descent():
             self.nesting = 0  # open parentheses
 
         def _error(self, message: str) -> ParseError:
-            tokens = tokenize(self.text)  # raises the LexError of an unknown character anywhere in text
-            if self.pos < len(tokens):
-                tok = tokens[self.pos]
-                return ParseError(f"{message} before {tok.lexeme!r}", tok.position)
-            end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
+            pairs = _offsets(self.text)  # raises the LexError of an unknown character anywhere in text
+            if self.pos < len(pairs):
+                lexeme, offset = pairs[self.pos]
+                return ParseError(f"{message} before {lexeme!r}", offset)
+            end = pairs[-1][1] + len(pairs[-1][0]) if pairs else 0
             return ParseError(f"{message} at end of input", end)
 
         def relation(self) -> Node:
@@ -176,7 +204,7 @@ def _recursive_descent():
 
         def term(self) -> Node:
             node = self.factor()
-            while self.kinds[self.pos] == STAR:
+            while self.kinds[self.pos] == "star":
                 self.pos += 1
                 node = Binary("mul", node, self.factor())
             return node
@@ -184,7 +212,7 @@ def _recursive_descent():
         def factor(self) -> Node:
             pos = self.pos
             kind = self.kinds[pos]
-            if kind == NUMBER and self.lexemes[pos][0] in _DIGITS:  # else an unknown character, raised by _error
+            if kind == "number":
                 lexeme = self.lexemes[pos]
                 self.pos = pos + 1
                 if "." in lexeme:
@@ -193,15 +221,15 @@ def _recursive_descent():
                     return Literal(int(lexeme))
                 except ValueError:  # an int past Python's limit on digits converted from a string
                     raise ParseError(f"literal of {len(lexeme)} digits is too long",
-                                     tokenize(self.text)[pos].position) from None
-            if kind == LPAREN:
+                                     _offsets(self.text)[pos][1]) from None
+            if kind == "lparen":
                 if self.nesting == MAX_DEPTH:
                     raise self._error(f"parentheses nested more than {MAX_DEPTH} deep")
                 self.pos = pos + 1
                 self.nesting += 1
                 node = self.expr()  # relations are not allowed inside parentheses
                 self.nesting -= 1
-                if self.kinds[self.pos] != RPAREN:
+                if self.kinds[self.pos] != "rparen":
                     raise self._error("expected ')'")
                 self.pos += 1
                 return node
@@ -215,12 +243,17 @@ def _recursive_descent():
             raise ParseError(f"expression more than {MAX_DEPTH} operators deep", 0)
         return node
 
-    return parse_text
+    return parse_text, _offsets
 
 
 def reference_parse(text: str):
     """exprlang.parse_text by the recursive-descent parser: a node, or the same LexError or ParseError."""
-    return _recursive_descent()(text)
+    return _recursive_descent()[0](text)
+
+
+def reference_offsets(text: str) -> list[tuple[str, int]]:
+    """The (lexeme, byte offset) pairs of text by the reference lexer, or the LexError of its first unknown character."""
+    return _recursive_descent()[1](text)
 
 
 def ref_partial_sums(arith, seq, n: int) -> tuple[list, int | None]:

@@ -331,8 +331,10 @@ class TestIndexTable:
         ([0, 1, 2.5, 4, 7.25, 11, 2 ** 53 + 1, 2.0 ** 54, 2 ** 54 + 1, 2 ** 70 + 3, 1e30, 10 ** 31 + 1,
           1e300, float("inf")], object),
         ([0.0, 1.0, 2.5, 4.0, 7.25, 1e300, float("inf")], np.float64),  # the same mask in float64
+        ([0, 1, 1e308, 1.5e308], object),  # finite f whose sums and products pass the double range: inf targets
+        ([0.0, 1.0, 1e308, 1.5e308], np.float64),  # the same in float64
     ], ids=["log2-collisions", "float64-collisions", "float64-collisions-past-int64", "float64-collisions-object",
-            "mixed-to-inf", "floats-to-inf"])
+            "mixed-to-inf", "floats-to-inf", "finite-to-inf", "finite-floats-to-inf"])
     def test_adversarial_tables(self, tmp_path, kind, values, dtype):
         """Targets whose float64 log2 keys tie or mislead still land on the exact index."""
         path = tmp_path / "f.txt"

@@ -56,6 +56,7 @@ _CONTRACT = [
     (["laws", "projective:id@int:0:10", "-R", "5"], "", 0, ""),
     (["laws", "projective:id@int:0:10", "--check", "nope"], "", 1, "usage error"),
     (["laws", "projective:id@grid:0:1:0.3"], "", 2, "validation error"),
+    (["laws", "projective:pow:1e308@int:0:10", "--check", "all"], "", 2, "validation error"),  # refused unevaluated
     (["series", "sum", "projective:id@int:0:10", "const:1", "-n", "3"], "", 0, ""),
     (["series", "sum", "projective:id@int:0:10", "harmonic"], "", 1, "usage error"),
     (["series", "sum", "projective:pow:0@int:0:10", "const:1"], "", 2, "validation error"),
@@ -72,6 +73,7 @@ _CONTRACT = [
     (["validate", "pow:nan@int:0:10"], "", 2, "validation error"),
     (["validate", "exp2m1@int:0:1100"], "", 0, ""),  # f values past 2^1024
     (["validate", "atanh:0.5@grid:0:1:0.1"], "", 2, ""),  # f rejected by its report, on stdout
+    (["validate", "pow:1e308@int:0:10"], "", 2, ""),  # f(10) would have some 10^308 bits
     (["repl", "projective:id@int:0:10"], "2+2\n7 +\n:bogus\n", 0, ""),
     (["repl", "affine:id@int:0:10"], "", 1, "usage error"),
     (["repl", "projective:id@int:0:-5"], "", 2, "validation error"),

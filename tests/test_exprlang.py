@@ -12,21 +12,17 @@ from nda.errors import (
     ParseError,
 )
 from nda.exprlang import (
-    LT,
     MAX_DEPTH,
-    MLL,
-    MLLL,
-    NUMBER,
     Binary,
     Literal,
     Relation,
     _LEXEME,
+    _offsets,
     evaluate,
     parse_text,
-    tokenize,
 )
 
-from reference import atanh_values, ceil_index, f_values, floor_index, ref_sub, reference_parse
+from reference import atanh_values, ceil_index, f_values, floor_index, ref_sub, reference_offsets, reference_parse
 
 POW2 = "projective:pow:2@int:0:100"
 
@@ -34,7 +30,7 @@ POW2 = "projective:pow:2@int:0:100"
 @pytest.mark.parametrize("text, char", [("٣+1", "٣"), ("²", "²"), ("1+1٣", "٣")])
 def test_non_ascii_digits_are_lex_errors(text, char):
     with pytest.raises(LexError, match=f"unknown character {char!r}"):
-        tokenize(text)
+        parse_text(text)
 
 
 @pytest.mark.parametrize("text", ["٣+1", "²"])
@@ -47,9 +43,9 @@ def test_non_ascii_digits_exit_3(text, monkeypatch, capsys):
 
 
 def test_longest_match_relations():
-    tokens = tokenize("1<<<2<<3<4")
-    assert [(t.kind, t.lexeme, t.position) for t in tokens if t.kind != NUMBER] == [
-        (MLLL, "<<<", 1), (MLL, "<<", 5), (LT, "<", 8)]
+    assert _LEXEME.findall("1<<<2<<3<4") == ["1", "<<<", "2", "<<", "3", "<", "4"]
+    assert [parse_text(f"1{rel}2") for rel in ("<<<", "<<", "<")] == [
+        Relation(rel, Literal(1), Literal(2)) for rel in ("mlll", "mll", "lt")]
 
 
 @pytest.mark.parametrize("text, offset", [("٣x", 0), ("12 + ٣٣ + x", 5)])
@@ -58,7 +54,7 @@ def test_lex_error_offset_after_multibyte_character(text, offset):
     # character at its byte offset; a lexer that consumed '٣' as a digit
     # would blame a later character at an offset counted in characters
     with pytest.raises(LexError, match="'٣'") as exc:
-        tokenize(text)
+        parse_text(text)
     assert exc.value.offset == offset
 
 
@@ -297,12 +293,13 @@ def _whitespace_variants(text: str) -> tuple[str, ...]:
     return text, text.replace(" ", "\t"), text.replace(" ", "\n"), text.replace(" ", " \r\n\t ")
 
 
-def test_lexemes_agree_with_tokens():
+def test_lexemes_agree_with_the_reference_offsets():
     for spec, tree in cross_check_corpus():
         for variant in _whitespace_variants(_text(tree)):
-            tokens = tokenize(variant)
-            assert _LEXEME.findall(variant) == [t.lexeme for t in tokens], variant
-            assert all(variant.startswith(t.lexeme, t.position) for t in tokens)
+            pairs = reference_offsets(variant)
+            assert _LEXEME.findall(variant) == [lexeme for lexeme, _ in pairs], variant
+            assert all(variant.startswith(lexeme, offset) for lexeme, offset in pairs)
+            assert _offsets(variant) == pairs, variant
             assert parse_text(variant) == _node(tree), variant
 
 

@@ -229,6 +229,7 @@ class TestBind:
         ("pow:3", "int:0:2000", np.int64),
         ("pow:3", "grid:0:2:0.001", np.float64),
         ("pow:7", "int:0:600", object),  # 600^7 passes 2^63
+        ("pow:4194303", "int:0:2", object),  # f(2) has 2^22 bits, the most bind admits
         ("quad", "int:0:1000", np.int64),
         ("quad", "grid:0:2:0.001", np.float64),
         ("exp2m1", "int:0:62", np.int64),
@@ -271,8 +272,12 @@ class TestBind:
          (5000, 5000, "f undefined at 5000: table f has no entry for carrier point 5000")),
         (drawn(INTS[:2] + [v + 0.5 for v in INTS[2:5000]] + [2 ** 1024 + v for v in INTS[5000:]]), "int:0:10000",
          (5000, 10001, "f(5000) is an int past the float range beside float values")),
+        # refused before any value is computed: f(2) would have 2^22 + 1 bits, f(10) some 3.3 10^308
+        (from_spec("pow:4194304"), "int:0:2", (2, 0, "f(2) has more than 4,194,304 bits")),
+        (from_spec("pow:1e308"), "int:0:10", (10, 0, "f(10) has more than 4,194,304 bits")),
     ], ids=["nan", "plateau", "negative", "f(0)", "inf-before-top", "pow-overflow", "pow-overflow-interior",
-            "exp2m1-overflow", "missing-table-point", "int-past-float-range"])
+            "exp2m1-overflow", "missing-table-point", "int-past-float-range", "pow-past-max-size-bits",
+            "huge-pow"])
     def test_rejection_reports(self, f, carrier_spec, expected):
         report, _ = bind(f, Carrier.from_spec(carrier_spec))
         assert not report.ok and (report.failure_index, report.points_checked, report.reason) == expected
