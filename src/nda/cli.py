@@ -14,7 +14,10 @@ than carrier.MAX_SIZE points), 3 an evaluation failed (off-carrier value,
 carrier exhausted, multiplication unavailable, bad expression).  One table,
 _ERRORS, maps each error class to its code and label.  The REPL evaluates
 and audits through the printers of ``nda eval`` and ``nda laws`` and prints
-the CLI's error line for a failed line, then reads the next one.
+the CLI's error line for a failed line, then reads the next one.  Under
+csv a REPL session is one CRLF stream: a header row is written only where
+its columns differ from the last one the session wrote since its format was
+set, and every other line ends in CRLF too.
 """
 
 from __future__ import annotations
@@ -162,37 +165,39 @@ def _json_value(v):
     return [_json_value(x) for x in v] if isinstance(v, (tuple, list)) else v
 
 
-def _emit_records(records: list[dict], columns: tuple[str, ...], fmt: str) -> None:
+def _emit_records(records: list[dict], columns: tuple[str, ...], fmt: str, written: tuple = ()) -> tuple:
+    """Emit records under columns, a csv header row only where it differs from written; returns columns."""
     if fmt == "json":
         for record in records:
             print(json.dumps({key: _json_value(v) for key, v in record.items()}))
-        return
-    if fmt == "csv":
+    elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(columns)
+        if columns != written:
+            writer.writerow(columns)
         for record in records:
             writer.writerow(_fmt_cell(record.get(col)) for col in columns)
         sys.stdout.write(buffer.getvalue())
-        return
-    widths = [max(len(col), *(len(_fmt_cell(r.get(col))) for r in records)) for col in columns]
-    print("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
-    for record in records:
-        print("  ".join(_fmt_cell(record.get(col)).ljust(w) for col, w in zip(columns, widths)).rstrip())
-
-
-def _emit_record(record: dict, fmt: str, *lines: str) -> None:
-    """One record in json or csv; the human lines instead in table format."""
-    if fmt == "table":
-        print("\n".join(lines))
     else:
-        _emit_records([record], tuple(record), fmt)
+        widths = [max(len(col), *(len(_fmt_cell(r.get(col))) for r in records)) for col in columns]
+        print("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
+        for record in records:
+            print("  ".join(_fmt_cell(record.get(col)).ljust(w) for col, w in zip(columns, widths)).rstrip())
+    return columns
 
 
-def _emit_result(arith: Arithmetic, text: str, fmt: str) -> None:
-    """Evaluate an expression and emit its result record, for nda eval and the REPL."""
+def _emit_record(record: dict, fmt: str, *lines: str, written: tuple = ()) -> tuple:
+    """One record in json or csv (see _emit_records); the human lines instead in table format.  Returns its columns."""
+    if fmt != "table":
+        return _emit_records([record], tuple(record), fmt, written)
+    print("\n".join(lines))
+    return tuple(record)
+
+
+def _emit_result(arith: Arithmetic, text: str, fmt: str, written: tuple = ()) -> tuple:
+    """Evaluate an expression and emit its result record, for nda eval and the REPL; returns its columns."""
     value = exprlang.evaluate(exprlang.parse_text(text), arith)
-    _emit_record({"result": value}, fmt, _fmt_cell(value))
+    return _emit_record({"result": value}, fmt, _fmt_cell(value), written=written)
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +428,18 @@ def _range_bound(text: str) -> int:
         raise SpecError(f"bad range bound {text!r} in :laws (want an integer R)") from None
 
 
+def _say(text: str, fmt: str) -> None:
+    """Print a REPL line that is no record, each of its lines ending in CRLF under csv, as the records do."""
+    end = "\r\n" if fmt == "csv" else "\n"
+    sys.stdout.write(text.replace("\n", end) + end)
+
+
 def _cmd_repl(args) -> int:
     current = Arithmetic.from_spec(args.arith) if args.arith else None
-    fmt = _format_of(args)
+    fmt, header = _format_of(args), ()  # header: the columns of the last csv header row written
     interactive = sys.stdin.isatty()
     if interactive:
-        print("nda repl; :help for directives")
+        _say("nda repl; :help for directives", fmt)
     while True:
         try:
             line = input("nda> " if interactive else "").strip()
@@ -440,23 +451,23 @@ def _cmd_repl(args) -> int:
             if directive in (":quit", ":q"):
                 return 0
             elif directive == ":help":
-                print(_REPL_HELP)
+                _say(_REPL_HELP, fmt)
             elif directive == ":arith" and len(fields) == 2:
                 current = Arithmetic.from_spec(fields[1])
-                print(f"arithmetic set to {current.spec}")
+                _say(f"arithmetic set to {current.spec}", fmt)
             elif directive == ":format" and len(fields) == 2 and fields[1] in FORMATS:
-                fmt = fields[1]
+                fmt, header = fields[1], header if fields[1] == fmt else ()
             elif directive and not (directive == ":laws" and len(fields) in (2, 3)):
                 raise SpecError(f"bad directive {line!r}; :help lists them")
             elif line and current is None:
                 raise SpecError("no arithmetic selected; use :arith <spec>")
             elif directive:
                 upper = _range_bound(fields[2]) if len(fields) == 3 else None
-                _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt)
+                header = _emit_records(_law_records(current, fields[1], upper), _LAW_COLUMNS, fmt, header)
             elif line:
-                _emit_result(current, line, fmt)
+                header = _emit_result(current, line, fmt, header)
         except _CAUGHT as exc:
-            print(_error_line(exc)[1])
+            _say(_error_line(exc)[1], fmt)
 
 
 if __name__ == "__main__":

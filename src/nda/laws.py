@@ -22,8 +22,11 @@ with the transpose of P[C, :, A] for each pair of blocks A <= C, in
 O(R * ASSOC_TILE^2) memory, over narrow copies of each block's columns.
 Distributivity reads its sides off the add table S and the mul table M as
 a(b + c) = M[S[b, c], a] and ab + ac = S[M[a, b], M[a, c]], in chunks of the
-leading index of at most MAX_SCAN_CELLS cells, 9 bytes each (two int32 sides
-and a bool mask), in buffers each scan allocates once.  An op whose table would
+leading index of at most MAX_SCAN_CELLS cells, 8 bytes each (two int32 sides),
+in buffers each scan allocates once.  A violation is a nonzero cell of
+a(b + c) - (ab + ac), written over the left side (carrier indices stay below
+carrier.MAX_SIZE = 2^22, so no difference wraps) and folded one leading index
+at a time.  An op whose table would
 pass MAX_TABLE_CELLS cells (32 MB) is computed by index_table over its operands
 instead: b + c once a scan, ab and a(b + c) once a chunk, and p + p once an a,
 p = ab over b in [0..R].  Such a scan takes one leading index a chunk, (R+1)^2
@@ -57,7 +60,7 @@ NOT_APPLICABLE = "not-applicable"
 
 CONSISTENT = "consistent"
 
-# Cells in one chunk of a scan (9 bytes each), and in the largest op table (4 bytes each)
+# Cells in one chunk of a scan (8 bytes each: two int32 sides), and in the largest op table (4 bytes each)
 MAX_SCAN_CELLS = 32_000_000
 MAX_TABLE_CELLS = MAX_SCAN_CELLS // 4
 ASSOC_TILE = 16  # indices per side of an (a, c) tile of the associativity scans
@@ -130,8 +133,9 @@ LAW_NAMES = ALL_LAWS + ("archimedean", "theorem-archimedean-mll")  # every row c
 _TRANSPOSED = {"assoc-add": "add", "assoc-mul": "mul"}  # laws scanned in tiles, and their op
 
 
-def _least_violation(mask: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """Least True cell (largest component, then lexicographic) of a block of the cube starting at offsets; one must be."""
+def _least_violation(block: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """Least nonzero cell (largest component, then lexicographic) of a block of the cube at offsets; one must be."""
+    mask = block.astype(bool, copy=False)  # a bool block as it is, a difference block as its nonzero cells
     first = mask.argmax(axis=-1)  # only the first True cell along the last axis can be least
     hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
     lead = np.indices(first.shape, sparse=True)
@@ -159,18 +163,19 @@ def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
 
 
 def _distributivity(arith: Arithmetic, tables: dict, n: int):
-    """(mask, 1, (lo, 0, 0)) of each chunk of leading indices of [0..n-1]^3, True where a(b + c) != ab + ac.
+    """(diff, 1, (a, 0, 0)) of each leading index a of [0..n-1]^3, diff nonzero where a(b + c) != ab + ac.
 
-    a(b + c) is one take of the chunk's columns of M by S[:n, :n], M's rows being the sums, whose range is
-    the larger, and ab + ac two takes of S for each a.
+    Each chunk of leading indices is computed at once: a(b + c) is one take of the chunk's columns of M by
+    S[:n, :n], M's rows being the sums, whose range is the larger, and ab + ac two takes of S for each a.
+    a(b + c) - (ab + ac) is then written over the left side and yielded as a (1, n, n) block an index.
     """
     add, mul, index = tables.get("add"), tables.get("mul"), np.arange(n)
     rows = min(n, max(1, MAX_SCAN_CELLS // (n * n))) if add is not None and mul is not None else 1
     sums = (add[:n, :n] if add is not None else arith.index_table("add", index[:, None], index)).astype(np.intp)
     if mul is not None:
         _bounded("mul", mul, sums, index)
-    # two sides and a mask, reused by every chunk; a short last chunk takes a prefix
-    left, right, masks = (np.empty((rows, n, n), dtype) for dtype in (np.int32, np.int32, bool))
+    # two sides, reused by every chunk; a short last chunk takes a prefix
+    left, right = np.empty((rows, n, n), np.int32), np.empty((rows, n, n), np.int32)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if mul is None:
@@ -185,7 +190,9 @@ def _distributivity(arith: Arithmetic, tables: dict, n: int):
                 out[...] = arith.index_table("add", p[:, None], p)
             else:
                 np.take(np.take(add, p, axis=0), p, axis=1, out=out, mode="wrap")
-        yield np.not_equal(lhs, right[:hi - lo], out=masks[:hi - lo]), 1, (lo, 0, 0)
+        diff = np.subtract(lhs, right[:hi - lo], out=lhs)  # indices below 2^22: no difference wraps
+        for i in range(hi - lo):
+            yield diff[i:i + 1], 1, (lo + i, 0, 0)
 
 
 def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
@@ -214,14 +221,14 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
             yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too
 
 
-def _fold(masks, n: int) -> tuple[int, tuple | None]:
-    """(weighted count of True cells, least True cell or None) over the (mask, weight, offsets) blocks of a scan."""
-    count, best = 0, (n, None)  # (largest component, cell) of the least True cell so far
-    for mask, weight, offsets in masks:
-        hits = int(np.count_nonzero(mask))
+def _fold(blocks, n: int) -> tuple[int, tuple | None]:
+    """(weighted count of nonzero cells, least nonzero cell or None) over the (block, weight, offsets) of a scan."""
+    count, best = 0, (n, None)  # (largest component, cell) of the least nonzero cell so far
+    for block, weight, offsets in blocks:
+        hits = int(np.count_nonzero(block))
         count += weight * hits
         if hits and max(offsets) <= best[0]:  # a block's largest components are at least its offsets
-            cell = _least_violation(mask, offsets)
+            cell = _least_violation(block, offsets)
             best = min(best, (max(cell), cell))
     return count, best[1]
 
@@ -232,8 +239,10 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     Associativity is scanned in tiles (_tiles).  pairs_checked is still
     (R+1)^3: commutativity decides the mirrored half.  Distributivity scans
     chunks of leading indices off its add and mul tables (_distributivity),
-    and computes an op with no table over each chunk's operands.  A law
-    without an equation holds by construction (see the module docstring).
+    8 bytes a cell, and computes an op with no table over each chunk's
+    operands; its violations are the nonzero cells of the two sides'
+    difference, folded one leading index at a time.  A law without an
+    equation holds by construction (see the module docstring).
     """
     plan = _plan(arith, law, upper)
     if plan is None:
@@ -243,8 +252,8 @@ def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     if equation is None:
         return LawReport(law, HOLDS, None, upper, n ** arity, 0)
     tables = _tables(arith, extents)
-    masks = _tiles(arith, op, tables.get(op), n) if op else _distributivity(arith, tables, n)
-    count, cell = _fold(masks, n)
+    blocks = _tiles(arith, op, tables.get(op), n) if op else _distributivity(arith, tables, n)
+    count, cell = _fold(blocks, n)
     witness = cell and tuple(arith.carrier.value_at(i) for i in cell)
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)
 

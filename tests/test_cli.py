@@ -279,6 +279,26 @@ def test_every_csv_line_ends_in_crlf(monkeypatch, capsys):
     assert out.count("\r\n") == out.count("\n")
 
 
+def test_repl_csv_session_is_one_crlf_stream(monkeypatch, capsys):
+    # a header row only where its columns change, and every other line in CRLF too: the help, an
+    # arithmetic switch and an error line
+    lines = ":format csv\n2+2\n3+3\n:arith dual:pow:2@int:0:100\n:help\n:bogus\n4+4\n:laws assoc-add 5\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert cli.main(["repl", "projective:pow:1.5@int:0:1000"]) == 0
+    out = capsys.readouterr().out
+    help_text = cli._REPL_HELP.replace("\n", "\r\n")
+    assert out == ("result\r\n3\r\n4\r\narithmetic set to dual:pow:2@int:0:100\r\n" + help_text + "\r\n"
+                   "usage error: bad directive ':bogus'; :help lists them\r\n6\r\n"
+                   "law,status,witness,range,pairs_checked,violations\r\n"
+                   'assoc-add,fails,"(1, 1, 2)",0..5,216,36\r\n')
+    assert out.splitlines().count("result") == 1 and out.count("\r\n") == out.count("\n")
+    # a new format starts a new table: back to csv, the header is written again
+    lines = ":format csv\n2+2\n:format csv\n2+2\n:format json\n:format csv\n2+2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert cli.main(["repl", "projective:pow:1.5@int:0:1000"]) == 0
+    assert capsys.readouterr().out == "result\r\n3\r\n3\r\nresult\r\n3\r\n"
+
+
 _DEMO_OUTPUT = """\
 headline equalities, each computed on the spot
   2 + 2 = 3   under projective:pow:1.5@int:0:1000
