@@ -12,12 +12,15 @@ range, such as a law scan refused for its size, see the laws module),
 2 the functional parameter or carrier was rejected (also a carrier of more
 than carrier.MAX_SIZE points), 3 an evaluation failed (off-carrier value,
 carrier exhausted, multiplication unavailable, bad expression).  One table,
-_ERRORS, maps each error class to its code and label.  The REPL evaluates
-and audits through the printers of ``nda eval`` and ``nda laws`` and prints
-the CLI's error line for a failed line, then reads the next one.  Under
-csv a REPL session is one CRLF stream: a header row is written only where
-its columns differ from the last one the session wrote since its format was
-set, and every other line ends in CRLF too.
+_ERRORS, maps each error class to its code and label.  Output that cannot
+be written ends the run: a closed stdout (a reader that went away) exits 0,
+any other OSError (a full disk) prints one ``output error:`` line to stderr
+and exits 1, with no traceback either way.  The REPL evaluates and audits
+through the printers of ``nda eval`` and ``nda laws`` and prints the CLI's
+error line for a failed line, then reads the next one.  Under csv a REPL
+session is one CRLF stream: a header row is written only where its columns
+differ from the last one the session wrote since its format was set, and
+every other line ends in CRLF too.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _LAW_COLUMNS = ("law", "status", "witness", "range", "pairs_checked", "violation
 
 
 # The exit-code contract: an error takes the code and label of the first row
-# whose class it is an instance of.  A closed stdout exits 0 (see main).
+# whose class it is an instance of.  An OSError writing stdout is main's (see the module docstring).
 _ERRORS = (
     (SpecError, 1, "usage error"),
     (ValidationError, 2, "validation error"),
@@ -72,14 +75,18 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         status = args.handler(args)
-        sys.stdout.flush()  # a closed stdout must fail here, not in the flush at exit
+        sys.stdout.flush()  # a closed or full stdout must fail here, not in the flush at exit
         return status
-    except BrokenPipeError:
-        # the reader went away (nda demo | head -1): send what is left to devnull
+    except OSError as exc:
+        # the reader went away (nda demo | head -1) or the disk is full (nda demo > /dev/full): send what is
+        # left to devnull, so the flush at exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except _CAUGHT as exc:
         code, line = _error_line(exc)
         print(line, file=sys.stderr)

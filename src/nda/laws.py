@@ -1,17 +1,12 @@
 """Exhaustive verification of classical laws over a finite range.
 
-Laws are data: an arity and one equation whose sides compose add and mul over
-index axes a, b, c.  Scans read each op off its memoised int32 table over
-[0..L] x [0..W] (``Arithmetic.op_table``), W being the largest smaller operand
-that the law gives op and L the largest larger one; op commutes, so a scan
-indexes the rows by the operand of the larger range.  Op is monotone in each
-argument, so L and W are read off the equation's sides at the corner
-(R, ..., R) before anything is built: mul's table is [0..mul(R, R)] x [0..R]
-for assoc-mul and [0..add(R, R)] x [0..R] for distributivity, add's
-[0..add(R, R)] x [0..R] for assoc-add and [0..mul(R, R)]^2 for distributivity
-(each side at least R).
-Commutativity and the neutral laws have no equation: they hold by
-construction, and are reported unscanned, with the (R+1)^arity cells decided.
+Each law of _LAWS names its scan: associativity tiles (_tiles) of add or mul,
+the distributivity chunks (_distributivity), or none.  Commutativity and the
+neutral laws name none: they hold by construction, and are reported
+unscanned, with the (R+1)^arity cells decided.  Scans read each op off its
+memoised int32 table over [0..L] x [0..W] (``Arithmetic.op_table``), whose
+extents _plan states before anything is built (see _LAWS); op commutes, so a
+scan indexes the rows by the operand of the larger range.
 a (op) b is rho(f(a) o f(b)), where rho rounds onto the carrier and
 rho(f(k)) = k, f being strictly increasing; o commutes over int, float and
 mixed operands, as does the 0 * inf mask, and bind makes f(a) + f(0) and
@@ -48,7 +43,6 @@ defined and reports are finite-window approximations of an infinite family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -84,33 +78,8 @@ def _check_upper(arith: Arithmetic, upper: int) -> None:
         raise ValueError(f"range bound {upper} outside carrier of size {arith.carrier.size}")
 
 
-def _corner(arith: Arithmetic, side, upper: int, extents: dict[str, tuple[int, int]]) -> int:
-    """A side (an axis name or (op, side, side)) at (upper, ..., upper); raises each op's (L, W) to its operands."""
-    if isinstance(side, str):
-        return upper
-    op, i, j = side[0], _corner(arith, side[1], upper, extents), _corner(arith, side[2], upper, extents)
-    larger, smaller = extents.get(op, (0, 0))
-    extents[op] = (max(larger, i, j), max(smaller, min(i, j)))
-    return int(arith.index_table(op, i, j))  # a dual sum past f(top) clamped to the top, as op tables do
-
-
 def _cells(extent: tuple[int, int]) -> int:
     return (extent[0] + 1) * (extent[1] + 1)
-
-
-def _extents(arith: Arithmetic, equation, upper: int, arity: int) -> dict[str, tuple[int, int] | None]:
-    """Each op's table extents (L, W) in the equation, None past MAX_TABLE_CELLS; refuses a scan it cannot chunk."""
-    extents: dict[str, tuple[int, int]] = {}
-    for side in equation:  # op is monotone, so the sides at the corner reach each op's largest operands
-        _corner(arith, side, upper, extents)
-    fits = {op: _cells(extent) <= MAX_TABLE_CELLS for op, extent in extents.items()}
-    cube = (upper + 1) ** arity
-    for op, (larger, smaller) in extents.items():
-        if not fits[op] and cube > MAX_SCAN_CELLS:
-            raise ValueError(f"{op} table over [0..{larger}] x [0..{smaller}] for R = {upper} exceeds the limit "
-                             f"{MAX_TABLE_CELLS} cells and the scan of {cube} cells the limit {MAX_SCAN_CELLS}; "
-                             "lower R")
-    return {op: extent if fits[op] else None for op, extent in extents.items()}
 
 
 def _tables(arith: Arithmetic, extents: dict[str, tuple[int, int] | None]) -> dict[str, np.ndarray]:
@@ -118,42 +87,52 @@ def _tables(arith: Arithmetic, extents: dict[str, tuple[int, int] | None]) -> di
     return {op: arith.op_table(op, *extent) for op, extent in extents.items() if extent is not None}
 
 
-# name -> (arity, needs_mul, equation): an (lhs, rhs) pair of sides, None for a law that holds by construction
+# name -> (arity, needs_mul, scan): "add" or "mul" for the tiles of that op's associativity, "distributivity" for
+# its chunks, None for a law that holds by construction.  Op is monotone, so at(op) = max(R, op(R, R)) bounds its
+# values over [0..R]^2, and the scans read: assoc op(op(a, b), c), op over [0..at(op)] x [0..R]; distributivity
+# a(b + c), mul over [0..at(add)] x [0..R], and ab + ac, add over [0..at(mul)]^2.
 _LAWS = {
     "commutativity-add": (2, False, None),
     "commutativity-mul": (2, True, None),
-    "assoc-add": (3, False, (("add", ("add", "a", "b"), "c"), ("add", "a", ("add", "b", "c")))),
-    "assoc-mul": (3, True, (("mul", ("mul", "a", "b"), "c"), ("mul", "a", ("mul", "b", "c")))),
-    "distributivity": (3, True, (("mul", "a", ("add", "b", "c")), ("add", ("mul", "a", "b"), ("mul", "a", "c")))),
+    "assoc-add": (3, False, "add"),
+    "assoc-mul": (3, True, "mul"),
+    "distributivity": (3, True, "distributivity"),
     "neutral-zero": (1, False, None),
     "neutral-one": (1, True, None),
 }
 ALL_LAWS = tuple(_LAWS)
 LAW_NAMES = ALL_LAWS + ("archimedean", "theorem-archimedean-mll")  # every row check_laws reports
-_TRANSPOSED = {"assoc-add": "add", "assoc-mul": "mul"}  # laws scanned in tiles, and their op
 
 
 def _least_violation(block: np.ndarray, offsets: tuple[int, ...]) -> tuple[int, ...]:
     """Least nonzero cell (largest component, then lexicographic) of a block of the cube at offsets; one must be."""
-    mask = block.astype(bool, copy=False)  # a bool block as it is, a difference block as its nonzero cells
-    first = mask.argmax(axis=-1)  # only the first True cell along the last axis can be least
-    hit = np.take_along_axis(mask, first[..., None], axis=-1)[..., 0]
-    lead = np.indices(first.shape, sparse=True)
-    key = reduce(np.maximum, [i + o for i, o in zip(lead, offsets)], first + offsets[-1])
-    above = max(o + size for o, size in zip(offsets, mask.shape))  # above every key
-    cell = np.unravel_index(np.argmin(np.where(hit, key, above)), first.shape)
-    return tuple(int(i) + o for i, o in zip(cell + (first[cell],), offsets))
+    cells = np.argwhere(block) + offsets  # in C order, which is lexicographic
+    return tuple(int(i) for i in cells[np.argmin(cells.max(axis=1))])
 
 
 def _plan(arith: Arithmetic, law: str, upper: int):
-    """(arity, equation, op extents) of a law, None where it is not applicable; refuses an oversize scan."""
+    """(arity, scan, op extents) of a law, None where it is not applicable; extents None past MAX_TABLE_CELLS.
+
+    Refuses a scan with an op past MAX_TABLE_CELLS whose cube passes MAX_SCAN_CELLS.
+    """
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}; choose from {', '.join(ALL_LAWS)}")
     _check_upper(arith, upper)
-    arity, needs_mul, equation = _LAWS[law]
+    arity, needs_mul, scan = _LAWS[law]
     if needs_mul and not arith.multiplicative:
         return None
-    return arity, equation, _extents(arith, equation, upper, arity) if equation else {}
+    ops = ("add", "mul") if scan == "distributivity" else (scan,) if scan else ()
+    # at(op): op(R, R), a dual sum past f(top) clamped to the top as in the op tables, and at least R
+    at = {op: max(upper, int(arith.index_table(op, upper, upper))) for op in ops}
+    extents = ({"add": (at["mul"], at["mul"]), "mul": (at["add"], upper)} if scan == "distributivity" else
+               {op: (at[op], upper) for op in ops})
+    fits, cube = {op: _cells(extent) <= MAX_TABLE_CELLS for op, extent in extents.items()}, (upper + 1) ** arity
+    for op, (larger, smaller) in extents.items():
+        if not fits[op] and cube > MAX_SCAN_CELLS:
+            raise ValueError(f"{op} table over [0..{larger}] x [0..{smaller}] for R = {upper} exceeds the limit "
+                             f"{MAX_TABLE_CELLS} cells and the scan of {cube} cells the limit {MAX_SCAN_CELLS}; "
+                             "lower R")
+    return arity, scan, {op: extent if fits[op] else None for op, extent in extents.items()}
 
 
 def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -236,23 +215,24 @@ def _fold(blocks, n: int) -> tuple[int, tuple | None]:
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
-    Associativity is scanned in tiles (_tiles).  pairs_checked is still
-    (R+1)^3: commutativity decides the mirrored half.  Distributivity scans
-    chunks of leading indices off its add and mul tables (_distributivity),
-    8 bytes a cell, and computes an op with no table over each chunk's
-    operands; its violations are the nonzero cells of the two sides'
-    difference, folded one leading index at a time.  A law without an
-    equation holds by construction (see the module docstring).
+    Each law runs the scan its _LAWS row names.  Associativity is scanned
+    in tiles of its op (_tiles).  pairs_checked is still (R+1)^3:
+    commutativity decides the mirrored half.  Distributivity scans chunks of
+    leading indices off its add and mul tables (_distributivity), 8 bytes a
+    cell, and computes an op with no table over each chunk's operands; its
+    violations are the nonzero cells of the two sides' difference, folded
+    one leading index at a time.  A law that names no scan holds by
+    construction (see the module docstring).
     """
     plan = _plan(arith, law, upper)
     if plan is None:
         return LawReport(law, NOT_APPLICABLE, None, upper, 0, None)
-    arity, equation, extents = plan
-    n, op = upper + 1, _TRANSPOSED.get(law)
-    if equation is None:
+    arity, scan, extents = plan
+    n = upper + 1
+    if scan is None:
         return LawReport(law, HOLDS, None, upper, n ** arity, 0)
     tables = _tables(arith, extents)
-    blocks = _tiles(arith, op, tables.get(op), n) if op else _distributivity(arith, tables, n)
+    blocks = _distributivity(arith, tables, n) if scan == "distributivity" else _tiles(arith, scan, tables.get(scan), n)
     count, cell = _fold(blocks, n)
     witness = cell and tuple(arith.carrier.value_at(i) for i in cell)
     return LawReport(law, FAILS if count else HOLDS, witness, upper, n ** arity, count)

@@ -1,6 +1,7 @@
 """Exit-code contract of the ``nda`` command line, driven through cli.main(argv)."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -214,6 +215,33 @@ def test_closed_stdout_exits_quietly():
         child.kill()
         child.stderr.close()
     assert err == b""  # no Traceback, no "Exception ignored" from the flush at exit
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails, as on /dev/full.  Its fileno is a file of the test's own, which
+    main points at devnull."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["demo"], ""),
+    (["repl", "projective:id@int:0:10"], ":help\n2+2\n:laws all 5\n"),
+], ids=["demo", "repl"])
+def test_full_stdout_is_an_output_error(argv, stdin, tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdout", _FullStdout(target.fileno()))
+        assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("term", ["1e400", "nan"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from functools import lru_cache
@@ -205,7 +206,7 @@ def test_oversize_scan_refused_before_any_table(monkeypatch):
     ("projective:id@int:0:100", "assoc-add", 44),
 ])
 def test_tiled_scan_bounded_by_the_cells_it_reads(spec, law, extent, monkeypatch, upper=22):
-    a, n, op = arith(spec), upper + 1, laws._TRANSPOSED[law]
+    a, n, op = arith(spec), upper + 1, laws._LAWS[law][2]
     kind, name = spec.split("@")[0].split(":", 1)
     reads = (extent + 1) * n  # the outer op over [0..M] x [0..R], whose [0..R]^2 block is the inner op
     monkeypatch.setattr(laws, "MAX_SCAN_CELLS", n * n)
@@ -268,7 +269,7 @@ def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monke
     n = upper + 1
     if laws._LAWS[law][2] is None:  # holds by construction: no op is computed
         assert cells == []
-    elif law not in laws._TRANSPOSED:  # the tiled scans read the outer op over their distinct inner values
+    elif laws._LAWS[law][2] == "distributivity":  # the tiles read the outer op over their distinct inner values
         assert cells and max(cells) <= max(n, n ** (arity - 1))
 
 
@@ -306,6 +307,28 @@ def test_fold_keeps_the_least_witness_over_leading_indices():
     assert laws._fold(iter(blocks), n) == (4, (1, 1, 2))
     for block, _, offsets in blocks[:2]:  # a difference reads as its nonzero cells, whatever their values
         assert laws._least_violation(block, offsets) == laws._least_violation(block != 0, offsets)
+
+
+@st.composite
+def violation_blocks(draw):
+    """(block, offsets): a bool or int32 block of up to 5^3 cells, one nonzero at least, maybe a transposed view."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+    cells = math.prod(shape)
+    values = st.booleans() if draw(st.booleans()) else st.integers(-3, 3)
+    flat = draw(st.lists(values, min_size=cells, max_size=cells).filter(any))
+    block = np.array(flat, bool if isinstance(flat[0], bool) else np.int32).reshape(shape)
+    if draw(st.booleans()):  # as _tiles yields its masks: a non-contiguous view
+        block = block.transpose(draw(st.permutations(range(3))))
+    return block, tuple(draw(st.lists(st.integers(0, 7), min_size=3, max_size=3)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(violation_blocks())
+def test_least_violation_is_the_reference_witness(drawn):
+    block, offsets = drawn
+    cells = itertools.product(*map(range, block.shape))
+    shifted = [tuple(i + o for i, o in zip(cell, offsets)) for cell in cells if block[cell]]
+    assert laws._least_violation(block, offsets) == smallest_witness(shifted)
 
 
 @pytest.mark.parametrize("kind", ["projective", "dual"])
@@ -505,6 +528,37 @@ def test_tables_where_a_product_falls_below_its_operands(kind, upper=10):
         assert (report.witness, report.violations) == (witness and tuple(map(a.carrier.value_at, witness)),
                                                        len(violations))
     assert_tables_are_index_table(a)
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+@pytest.mark.parametrize("spec, upper", [
+    ("pow:1.5@int:0:1000", 22),
+    ("pow:0.1@int:0:1000", 10),  # add(R, R) passes the top
+    ("exp2m1@int:0:70", 22),
+    ("quad@int:0:200", 22),
+    ("pow:2@grid:0:2:0.05", 10),  # mul(R, R) = 5 < R
+])
+@pytest.mark.parametrize("law", ["assoc-add", "assoc-mul", "distributivity"])
+def test_each_scan_reads_what_the_reference_applies(kind, spec, upper, law):
+    # op commutes, so each table is read at (larger operand, smaller operand): over [0..R]^3, the largest of each
+    # are the extents _plan states for it before any table is built
+    a = arith(f"{kind}:{spec}")
+    fvals, reads = a._f_array.tolist(), {}
+
+    def recorded(name, ref_op):
+        value = lru_cache(None)(lambda i, j: ref_op(fvals, kind, i, j))
+
+        def op(i, j):
+            pair = (max(i, j), min(i, j))
+            reads[name] = tuple(map(max, reads.get(name, pair), pair))
+            return value(i, j)
+        return op
+
+    arity, holds = REFERENCE_LAW_FNS[law]
+    add, mul = recorded("add", ref_add), recorded("mul", ref_mul)
+    for t in itertools.product(range(upper + 1), repeat=arity):
+        holds(add, mul, t)  # both sides: == evaluates each in full
+    assert laws._plan(a, law, upper)[2] == reads
 
 
 def test_rectangles_past_the_bound_together_are_built_per_scan(monkeypatch, upper=10):
