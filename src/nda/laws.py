@@ -21,16 +21,24 @@ leading index of at most MAX_SCAN_CELLS cells, 8 bytes each (two int32 sides),
 in buffers each scan allocates once.  A violation is a nonzero cell of
 a(b + c) - (ab + ac), written over the left side (carrier indices stay below
 carrier.MAX_SIZE = 2^22, so no difference wraps) and folded one leading index
-at a time.  An op whose table would
-pass MAX_TABLE_CELLS cells (32 MB) is computed by index_table over its operands
-instead: b + c once a scan, ab and a(b + c) once a chunk, and p + p once an a,
-p = ab over b in [0..R].  Such a scan takes one leading index a chunk, (R+1)^2
-cells.  An associativity scan that needs one reads the outer op over its
-distinct inner values x [0..R] and the inner op over [0..R]^2.  Any scan with
-an op so computed is refused past MAX_SCAN_CELLS cells in all.  Reports give
-holds / fails / not-applicable, the exact violation count and the smallest
-counterexample: least largest component, then lexicographic, which is the
-first violation in C order of the least cube [0..k]^arity that holds one.
+at a time.  The top T absorbs, so no scan gathers a cell T decides: with
+monotone op tables and 0 + x and 1 * x exactly x, T + x = T, T * x = T for
+x >= 1 and x o y >= y (x >= 1 for mul), so a cell of associativity holds once
+op(a, b) or op(c, b) is T, and one of distributivity with a >= 1 once ab or ac
+is T, both sides then being T.  With k(x) the least b with op(x, b) = T (n less
+the T cells of x's row), a tile gathers only b < k(c0) and a chunk from lo
+only b, c < k(lo); pairs_checked still counts the cells so decided.  An int +
+float target rounds, so where f has a float below its top beside ints k = n.
+An op whose table would pass MAX_TABLE_CELLS cells (32 MB) is computed by
+index_table over its operands instead: b + c once a scan, ab and a(b + c) once
+a chunk, and p + p once an a, p = ab over b in [0..R].  Such a scan takes one
+leading index a chunk, (R+1)^2 cells.  An associativity scan that needs one
+reads the outer op over its distinct inner values x [0..R] and the inner op
+over [0..R]^2.  Any scan with an op so computed is refused past MAX_SCAN_CELLS
+cells in all.  Reports give holds / fails / not-applicable, the exact violation
+count and the smallest counterexample: least largest component, then
+lexicographic, which is the first violation in C order of the least cube
+[0..k]^arity that holds one.
 check_laws also reports the Archimedean rows, their extra fields as details.
 Both read one index_table column, s + 1 for s in [1, R), up to its least fixed
 point b (_stuck); the theorem holds by construction, as both of its sides come
@@ -141,37 +149,50 @@ def _bounded(op: str, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
         raise IndexError(f"{op} operand past its table of shape {table.shape}")
 
 
+def _top(arith: Arithmetic) -> int:
+    """The index that absorbs (see the module docstring): the carrier's top, or -1, which no cell holds, where f
+    has a float below its top beside ints, as an int + float target rounds and an op table need not be monotone."""
+    values = arith._f_array
+    return -1 if values.dtype == object and any(isinstance(v, float) for v in values[:-1]) else len(values) - 1
+
+
 def _distributivity(arith: Arithmetic, tables: dict, n: int):
     """(diff, 1, (a, 0, 0)) of each leading index a of [0..n-1]^3, diff nonzero where a(b + c) != ab + ac.
 
-    Each chunk of leading indices is computed at once: a(b + c) is one take of the chunk's columns of M by
-    S[:n, :n], M's rows being the sums, whose range is the larger, and ab + ac two takes of S for each a.
-    a(b + c) - (ab + ac) is then written over the left side and yielded as a (1, n, n) block an index.
+    A chunk [lo, hi) x [0..k)^2, k = k(lo) >= k(a) (see the module docstring), has as many rows as fill the
+    buffers, sized at the first chunk, k(0) = n.  a(b + c) is one take of the chunk's columns of M by S[:k, :k],
+    M's rows being the sums, whose range is the larger; ab + ac two takes of S over [0..k(a)) x [0..k) for each
+    a, and T in its rows past k(a).  a(b + c) - (ab + ac) is written over the left side, a (1, k, k) block an a.
     """
-    add, mul, index = tables.get("add"), tables.get("mul"), np.arange(n)
-    rows = min(n, max(1, MAX_SCAN_CELLS // (n * n))) if add is not None and mul is not None else 1
-    sums = (add[:n, :n] if add is not None else arith.index_table("add", index[:, None], index)).astype(np.intp)
+    add, mul, index, top = tables.get("add"), tables.get("mul"), np.arange(n), _top(arith)
+    tabled = add is not None and mul is not None  # else one leading index a chunk
+    sums = add[:n, :n] if add is not None else arith.index_table("add", index[:, None], index)
     if mul is not None:
         _bounded("mul", mul, sums, index)
-    # two sides, reused by every chunk; a short last chunk takes a prefix
-    left, right = np.empty((rows, n, n), np.int32), np.empty((rows, n, n), np.int32)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    cells = min(n, max(1, MAX_SCAN_CELLS // (n * n))) * n * n if tabled else n * n
+    left, right, lo = np.empty(cells, np.int32), np.empty(cells, np.int32), 0  # each chunk takes a prefix
+    while lo < n:
+        first = mul[lo, :n] if mul is not None else arith.index_table("mul", lo, index)
+        k = n - int(np.count_nonzero(first == top))  # M is monotone: T ends each row, and k(a) <= k(lo)
+        hi = min(n, lo + (max(1, cells // (k * k)) if tabled else 1))
         if mul is None:
-            a = index[lo:hi, None]
-            lhs, products = arith.index_table("mul", a[:, None], sums), arith.index_table("mul", a, index)
+            lhs, products = arith.index_table("mul", lo, sums[:k, :k])[None], first[None]
         else:
-            lhs, products = np.take(mul[:, lo:hi].T, sums, axis=1, out=left[:hi - lo], mode="wrap"), mul[lo:hi, :n]
+            lhs, products = left[:(hi - lo) * k * k].reshape(-1, k, k), mul[lo:hi, :n]
+            np.take(mul[:, lo:hi].T, sums[:k, :k], axis=1, out=lhs, mode="wrap")
         if add is not None:
             _bounded("add", add, products, products)
-        for p, out in zip(products, right):
+        ends = n - np.count_nonzero(products == top, axis=1)
+        for p, end, out in zip(products, ends, right[:(hi - lo) * k * k].reshape(-1, k, k)):
             if add is None:
-                out[...] = arith.index_table("add", p[:, None], p)
-            else:
-                np.take(np.take(add, p, axis=0), p, axis=1, out=out, mode="wrap")
-        diff = np.subtract(lhs, right[:hi - lo], out=lhs)  # indices below 2^22: no difference wraps
+                out[:end] = arith.index_table("add", p[:end, None], p[:k])
+            else:  # rows [0..end) of out are contiguous; past end in a row, p is the top and so is the sum
+                np.take(np.take(add, p[:end], axis=0), p[:k], axis=1, out=out[:end], mode="wrap")
+            out[end:] = top
+        diff = np.subtract(lhs, right[:lhs.size].reshape(lhs.shape), out=lhs)  # indices below 2^22: no wrap
         for i in range(hi - lo):
             yield diff[i:i + 1], 1, (lo + i, 0, 0)
+        lo = hi
 
 
 def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
@@ -182,20 +203,25 @@ def _tiles(arith: Arithmetic, op: str, table: np.ndarray | None, n: int):
     """
     index = np.arange(n)  # P[a, b, c] = op(op(a, b), c) = outer[inner[a, b], c]
     if table is None:  # too large: the outer op over the distinct inner values x [0..n-1]
-        values, inner = np.unique(arith.index_table(op, index[:, None], index), return_inverse=True)
-        inner, outer = inner.reshape(n, n), arith.index_table(op, values[:, None], index)
+        inner = arith.index_table(op, index[:, None], index)
+        values, codes = np.unique(inner, return_inverse=True)
+        codes, outer = codes.reshape(n, n), arith.index_table(op, values[:, None], index)
     else:  # the takes below wrap, so every operand is checked first
         _bounded(op, table, index, index)
         inner, outer = table[:n, :n], table[:, :n]
         _bounded(op, table, inner, index)
+        codes = inner
+    # k(c): op(c, b) is the top from b = k(c) on, and such a cell holds (see the module docstring); k(c) <= k(c0)
+    ends = n - np.count_nonzero(inner == _top(arith), axis=1)
     starts, narrow = range(0, n, ASSOC_TILE), np.min_scalar_type(outer.max())
     cols = [np.ascontiguousarray(outer[:, lo:lo + ASSOC_TILE], narrow) for lo in starts]  # every row read
-    rows = [np.ascontiguousarray(inner[:, lo:lo + ASSOC_TILE], np.intp) for lo in starts]
+    rows = [np.ascontiguousarray(codes[:, lo:lo + ASSOC_TILE], np.intp) for lo in starts]
     for k, c0 in enumerate(starts):
+        end = ends[c0]
         for j, a0 in enumerate(starts[:k + 1]):  # inner[:, A] is inner[A, :].T, inner being symmetric
-            lhs = np.take(cols[k], rows[j], axis=0, mode="wrap")  # P[A, :, C] as [b, a, c]
-            rhs = lhs if j == k else np.take(cols[j], rows[k], axis=0, mode="wrap")
-            mask = (lhs != rhs.transpose(0, 2, 1)).transpose(1, 0, 2)  # rhs is P[C, :, A] as [b, c, a]
+            lhs = np.take(cols[k], rows[j][:end], axis=0, mode="wrap")  # P[A, :k(c0), C] as [b, a, c]
+            rhs = lhs if j == k else np.take(cols[j], rows[k][:end], axis=0, mode="wrap")
+            mask = (lhs != rhs.transpose(0, 2, 1)).transpose(1, 0, 2)  # rhs is P[C, :k(c0), A] as [b, c, a]
             del lhs, rhs  # only the mask lives on while the caller reads it
             yield mask, 1 if j == k else 2, (a0, 0, c0)  # a tile off the diagonal stands for its mirror too
 
@@ -215,14 +241,13 @@ def _fold(blocks, n: int) -> tuple[int, tuple | None]:
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
-    Each law runs the scan its _LAWS row names.  Associativity is scanned
-    in tiles of its op (_tiles).  pairs_checked is still (R+1)^3:
-    commutativity decides the mirrored half.  Distributivity scans chunks of
-    leading indices off its add and mul tables (_distributivity), 8 bytes a
-    cell, and computes an op with no table over each chunk's operands; its
-    violations are the nonzero cells of the two sides' difference, folded
-    one leading index at a time.  A law that names no scan holds by
-    construction (see the module docstring).
+    Each law runs the scan its _LAWS row names.  Associativity is scanned in tiles of its op (_tiles).
+    pairs_checked is still (R+1)^3: commutativity decides the mirrored half, and the absorbing top T the cells
+    no scan gathers: with monotone op tables, where an inner op is T (ab or ac, for distributivity with a >= 1)
+    both sides are T, T + x and T * x (x >= 1) being T, as 0 + x and 1 * x are x.  Distributivity scans chunks
+    of leading indices off its add and mul tables (_distributivity), 8 bytes a cell, and computes an op with no
+    table over each chunk's operands; its violations are the nonzero cells of the two sides' difference, folded
+    one leading index at a time.  A law that names no scan holds by construction (see the module docstring).
     """
     plan = _plan(arith, law, upper)
     if plan is None:
