@@ -192,13 +192,12 @@ class Arithmetic:
             key = np.logaddexp2(lx, ly) if op == "add" else lx + ly
         return self._settle(fv, target, self._search(self._f_log2, key)).astype(np.int32)
 
-    def op_table(self, op: str, rows: int, cols: int | None = None) -> np.ndarray:
-        """index_table of op over [0..rows] x [0..cols], cols <= rows (rows by default), memoised.
+    def op_table(self, op: str, rows: int, cols: int) -> np.ndarray:
+        """index_table of op over [0..rows] x [0..cols], cols <= rows, memoised.
 
         A memoised table that does not cover the rectangle is replaced by one
         over exactly that rectangle, so a table is never larger than asked for.
         """
-        cols = rows if cols is None else cols
         if not 0 <= cols <= rows:
             raise ValueError(f"op table over [0..{rows}] x [0..{cols}]: want 0 <= cols <= rows")
         table = self._op_tables.get(op)

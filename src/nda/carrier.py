@@ -42,6 +42,11 @@ def number_text(v: int | float) -> str:
     return text if float(text) == v else repr(v)
 
 
+def within_tolerance(a: int | float, b: int | float) -> bool:
+    """Whether a and b are one point: apart by at most GRID_TOLERANCE of the larger of 1, |a| and |b|."""
+    return abs(a - b) <= GRID_TOLERANCE * max(1.0, abs(a), abs(b))
+
+
 def _bounded(size: int) -> int:
     if size > MAX_SIZE:
         raise ValidationError(f"carrier exceeds the limit of {MAX_SIZE:,} points")
@@ -121,6 +126,6 @@ class Carrier:
         if not 0 <= i < self.size:
             raise OffCarrierError(f"{v} outside carrier [0, {self.max}]")
         grid_value = self.value_at(i)
-        if abs(v - grid_value) > GRID_TOLERANCE * max(1.0, abs(v), abs(grid_value)):
+        if not within_tolerance(v, grid_value):
             raise OffCarrierError(f"{v} is not on the carrier (nearest point {grid_value})")
         return i

@@ -43,11 +43,12 @@ from operator import length_hint
 
 import numpy as np
 
-from .carrier import GRID_TOLERANCE, INTEGER_RANGE, MAX_SIZE, Carrier
+from .carrier import INTEGER_RANGE, MAX_SIZE, Carrier, within_tolerance
 from .errors import OffCarrierError, SpecError, TableError, ValidationError
 
-IDENTITY = "identity"
-POWER = "power"
+# the families, each named by the head of its spec
+IDENTITY = "id"
+POWER = "pow"
 EXP2M1 = "exp2m1"
 QUAD = "quad"
 ATANH = "atanh"
@@ -77,23 +78,17 @@ class FunctionalParameter:
     param: float | None = None
     points: tuple[tuple[int | float, int | float], ...] = ()
 
+    def __post_init__(self):
+        if self.family != TABLE and self.family not in _FORMULAS:
+            raise SpecError(f"unknown f family {self.family!r}")
+
     def evaluate(self, v: int | float) -> int | float:
         """f(v); deterministic, bit-identical for identical v."""
         if self.family == TABLE:
             return self._table_lookup(v)
-        if self.family == ATANH:
-            return _atanh_scaled(v, self.param)
-        if self.family == IDENTITY:
-            return v
-        if isinstance(v, int) and _is_exact(self.family, self.param):
-            return _exact(self.family, self.param, v)
-        if self.family == POWER:
-            return math.pow(v, self.param)
-        if self.family == EXP2M1:
-            return math.pow(2.0, v) - 1.0
-        if self.family == QUAD:
-            return (v + v * v) / 2.0
-        raise SpecError(f"unknown f family {self.family!r}")
+        exact, real = _FORMULAS[self.family]
+        fv = exact(v, self.param) if isinstance(v, int) else None
+        return real(v, self.param, math.pow) if fv is None else fv
 
     @cached_property
     def _table_xs(self) -> list:
@@ -103,7 +98,7 @@ class FunctionalParameter:
         # the x values strictly increase, so only the entries either side of v can match
         i = bisect_left(self._table_xs, v)
         for x, y in self.points[max(i - 1, 0):i + 1]:
-            if x == v or abs(x - v) <= GRID_TOLERANCE * max(1.0, abs(x), abs(v)):
+            if x == v or within_tolerance(x, v):
                 return y
         raise ValidationError(f"table f has no entry for carrier point {v}")
 
@@ -111,20 +106,17 @@ class FunctionalParameter:
         return self.name
 
 
-def _is_exact(family: str, p: float | None) -> bool:
-    """Whether f takes exact int values at int points: id, quad, exp2m1 and integral powers."""
-    return family in (IDENTITY, EXP2M1, QUAD) or family == POWER and float(p).is_integer()
-
-
-def _exact(family: str, p: float | None, v):
-    """f(v) for an exact family (see _is_exact), on a Python int or on an int64 or object array alike."""
-    if family == POWER:
-        return v ** int(p)
-    if family == EXP2M1:
-        return (1 << v) - 1
-    if family == QUAD:
-        return (v + v * v) // 2
-    return v
+# Each family's f, read by evaluate and by bind's _evaluate: family -> (exact, real).  exact(v, p) is f at an
+# int point, on a Python int or on an int64 or object array alike, or None where the family has none (a power
+# whose exponent is not whole).  real(v, p, pow) is f at a float point with pow = math.pow, and f at each point
+# of an array with pow = math.pow mapped over it (_mapped); bind takes artanh's array in long-double blocks.
+_FORMULAS = {
+    IDENTITY: (lambda v, p: v, lambda v, p, pow: v),
+    POWER: (lambda v, p: v ** int(p) if float(p).is_integer() else None, lambda v, p, pow: pow(v, p)),
+    EXP2M1: (lambda v, p: (1 << v) - 1, lambda v, p, pow: pow(2.0, v) - 1.0),
+    QUAD: (lambda v, p: (v + v * v) // 2, lambda v, p, pow: (v + v * v) / 2.0),
+    ATANH: (lambda v, p: None, lambda v, p, pow: _atanh_scaled(v, p)),
+}
 
 
 def _atanh_scaled(v: float, c: float) -> float:
@@ -216,15 +208,15 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, np
     rejected f returns the values before the failing check's point, and an
     integral power whose f(top) would pass MAX_SIZE bits is refused with none.
     """
-    if carrier.kind == INTEGER_RANGE and f.family == POWER and _is_exact(POWER, f.param) \
+    if carrier.kind == INTEGER_RANGE and f.family == POWER and float(f.param).is_integer() \
             and f.param * math.log2(carrier.max) >= MAX_SIZE:  # f(top) has floor(p log2 top) + 1 bits
         return _failure(carrier.size - 1, f"f({carrier.max}) has more than {MAX_SIZE:,} bits", 0), np.empty(0, np.int64)
     values, undefined = _evaluate(f, carrier)
     failed = _first_failing_point(values)
     if failed is not None:
         return _failure_at(values, carrier, failed), values[:failed]
-    if undefined is not None:
-        i, exc = undefined
+    if undefined:
+        i, exc = undefined[0]
         return _failure(i, f"f undefined at {carrier.value_at(i)}: {exc}", i), values
     try:
         one = carrier.index_of(1)  # multiplication needs the carrier value 1
@@ -248,44 +240,41 @@ def bind(f: FunctionalParameter, carrier: Carrier) -> tuple[ValidationReport, np
     return ValidationReport(True, multiplicative, carrier.size), values
 
 
-def _evaluate(f: FunctionalParameter, carrier: Carrier) -> tuple[np.ndarray, tuple[int, Exception] | None]:
-    """f at the carrier points in order, up to the first point where f is undefined, and (index, error) there."""
+def _evaluate(f: FunctionalParameter, carrier: Carrier) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
+    """f at the carrier points in order, up to the first point where f is undefined, and [(index, error)] there."""
     family, p, n = f.family, f.param, carrier.size
     points = np.arange(n) if carrier.kind == INTEGER_RANGE else np.arange(n) * carrier.step  # value_at's i * step
-    if points.dtype == np.int64 and _is_exact(family, p):
-        # exact ints, as evaluate's at an int point; f increases, so f(top) bounds them all
-        return _exact(family, p, points if f.evaluate(carrier.value_at(n - 1)) < 2 ** 63 else points.astype(object)), None
-    if family == IDENTITY:
-        return points, None
-    if family == QUAD:
-        with np.errstate(over="ignore"):  # a float product past the double range is +inf, as in Python
-            return (points + points * points) / 2.0, None
-    if family == POWER:
-        return _mapped(lambda vs: map(math.pow, vs, repeat(p)), carrier)
-    if family == EXP2M1:
-        values, undefined = _mapped(lambda vs: map(math.pow, repeat(2.0), vs), carrier)
-        return values - 1.0, undefined
+    undefined = []
     if family == ATANH:
         values = np.empty(n)
         for lo in range(0, n, ATANH_BLOCK):
             values[lo:lo + ATANH_BLOCK] = _atanh_block(points[lo:lo + ATANH_BLOCK], p)
-        return values, None
-    if family == TABLE:
-        return _mapped(lambda vs: map(f.evaluate, vs), carrier, object)
-    raise SpecError(f"unknown f family {family!r}")
+        return values, undefined
+    if family == TABLE:  # tolist: value_at's ints or floats
+        return _mapped(undefined, f._table_lookup, points.tolist(), dtype=object), undefined
+    exact, real = _FORMULAS[family]
+    pow = lambda x, y: _mapped(undefined, math.pow, x, y)  # math.pow mapped over the points x or y
+    if carrier.kind != INTEGER_RANGE:
+        with np.errstate(over="ignore"):  # a float product past the double range is +inf, as in Python
+            return real(points, p, pow), undefined
+    top = exact(n - 1, p)
+    if top is None:  # a power whose exponent is not whole: math.pow maps a range's ints faster than int64s
+        return real(range(n), p, pow), undefined
+    # exact ints, as evaluate's at an int point; f increases, so f(top) bounds them all
+    return exact(points if top < 2 ** 63 else points.astype(object), p), undefined
 
 
-def _mapped(over, carrier: Carrier, dtype=np.float64) -> tuple[np.ndarray, tuple[int, Exception] | None]:
-    """np.fromiter of over(iterator of carrier values), up to the first value at which it raises."""
-    def run(n: int):  # the index iterator tells how many values the map consumed
-        index = iter(range(n))
-        return index, over(index if carrier.kind == INTEGER_RANGE else map(carrier.step.__rmul__, index))
-    index, mapped = run(carrier.size)
+def _mapped(undefined: list, g, *args, dtype=np.float64) -> np.ndarray:
+    """np.fromiter of g over the one sequence among args, each other arg fixed, up to the first point at which
+    g raises; that point's (index, error) goes on undefined."""
+    points = args[0] if isinstance(args[-1], (int, float)) else args[-1]
+    index = iter(points)  # the points it has left tell where g raised
     try:
-        return np.fromiter(mapped, dtype, carrier.size), None
+        return np.fromiter(map(g, *[index if arg is points else repeat(arg) for arg in args]), dtype, len(points))
     except (ValidationError, ValueError, OverflowError) as exc:
-        failed = carrier.size - 1 - length_hint(index)
-        return np.fromiter(run(failed)[1], dtype, failed), (failed, exc)
+        failed = len(points) - 1 - length_hint(index)
+        undefined.append((failed, exc))
+        return _mapped(undefined, g, *[points[:failed] if arg is points else arg for arg in args], dtype=dtype)
 
 
 def _failure(index: int, reason: str, checked: int) -> ValidationReport:
@@ -366,28 +355,17 @@ def parse_number(text: str) -> int | float:
 def from_spec(spec: str) -> FunctionalParameter:
     """Parse ``id``, ``pow:<p>``, ``exp2m1``, ``quad``, ``atanh:<c>`` or ``table:<path>``."""
     head, _, rest = spec.partition(":")
-    if head == "id" and not rest:
-        return FunctionalParameter("id", IDENTITY)
-    if head == "exp2m1" and not rest:
-        return FunctionalParameter("exp2m1", EXP2M1)
-    if head == "quad" and not rest:
-        return FunctionalParameter("quad", QUAD)
-    if head == "pow":
+    if head in (IDENTITY, EXP2M1, QUAD) and not rest:
+        return FunctionalParameter(head, head)
+    if head in (POWER, ATANH):
+        word = "exponent" if head == POWER else "scale"
         try:
             p = float(rest)
         except ValueError:
-            raise SpecError(f"bad exponent in {spec!r}") from None
+            raise SpecError(f"bad {word} in {spec!r}") from None
         if not p > 0:  # NaN too
-            raise ValidationError(f"pow exponent must be positive, got {p}")
-        return FunctionalParameter(f"pow:{rest}", POWER, param=p)
-    if head == "atanh":
-        try:
-            c = float(rest)
-        except ValueError:
-            raise SpecError(f"bad scale in {spec!r}") from None
-        if not c > 0:  # NaN too
-            raise ValidationError(f"atanh scale must be positive, got {c}")
-        return FunctionalParameter(f"atanh:{rest}", ATANH, param=c)
-    if head == "table" and rest:
+            raise ValidationError(f"{head} {word} must be positive, got {p}")
+        return FunctionalParameter(spec, head, param=p)
+    if head == TABLE and rest:
         return load_table(rest)
     raise SpecError(f"unknown f spec {spec!r} (want id, pow:<p>, exp2m1, quad, atanh:<c>, table:<path>)")

@@ -241,13 +241,9 @@ def _fold(blocks, n: int) -> tuple[int, tuple | None]:
 def check_law(arith: Arithmetic, law: str, upper: int) -> LawReport:
     """Scan one law exhaustively over carrier indices [0, upper].
 
-    Each law runs the scan its _LAWS row names.  Associativity is scanned in tiles of its op (_tiles).
-    pairs_checked is still (R+1)^3: commutativity decides the mirrored half, and the absorbing top T the cells
-    no scan gathers: with monotone op tables, where an inner op is T (ab or ac, for distributivity with a >= 1)
-    both sides are T, T + x and T * x (x >= 1) being T, as 0 + x and 1 * x are x.  Distributivity scans chunks
-    of leading indices off its add and mul tables (_distributivity), 8 bytes a cell, and computes an op with no
-    table over each chunk's operands; its violations are the nonzero cells of the two sides' difference, folded
-    one leading index at a time.  A law that names no scan holds by construction (see the module docstring).
+    The law runs the scan its _LAWS row names (_tiles or _distributivity) over the op tables of _plan's extents,
+    and _fold counts the violations and finds the least witness.  A law that names no scan holds by construction;
+    one that _plan finds not applicable reports so.  pairs_checked is (R+1)^arity, the cells a scan skips included.
     """
     plan = _plan(arith, law, upper)
     if plan is None:

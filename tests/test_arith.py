@@ -279,7 +279,7 @@ class TestIndexTable:
             raise AssertionError("a memoised table was rebuilt")
 
         monkeypatch.setattr(Arithmetic, "index_table", no_build)
-        assert np.array_equal(a.op_table("add", 300), full[:301, :301])
+        assert np.array_equal(a.op_table("add", 300, 300), full[:301, :301])
         assert np.array_equal(a.op_table("add", 1000, 300), full[:, :301])
 
     @pytest.mark.parametrize("kind", ["projective", "dual"])
@@ -361,7 +361,7 @@ class TestIndexTable:
         for op, ref in (("add", ref_add), ("mul", ref_mul)):
             expected = [[ref(fvals, kind, i, j) for j in range(64)] for i in range(64)]
             assert a.index_table(op, idx[:, None], idx[None, :]).tolist() == expected
-            assert a.op_table(op, 63).tolist() == expected
+            assert a.op_table(op, 63, 63).tolist() == expected
         assert a._f_array.dtype == np.int64 and "_f_log2" not in vars(a)
 
     def test_dual_exp2m1_past_600(self):
@@ -401,7 +401,7 @@ class TestLightspeed:
         points and f values are rounded doubles, so a sum whose exact value is a grid
         point may round just below it: 0.35 (+) 0.625 gives 0.799, not 0.8.
         """
-        table = arith("projective:atanh:1@grid:0:1:0.001").op_table("add", 1000).astype(np.int64)
+        table = arith("projective:atanh:1@grid:0:1:0.001").op_table("add", 1000, 1000).astype(np.int64)
         i, j = np.arange(1001)[:, None], np.arange(1001)[None, :]
         exact = 10 ** 6 * (i + j) // (10 ** 6 + i * j)
         rows, cols = np.nonzero(table != exact)

@@ -103,6 +103,31 @@ def test_exit_code_contract_case_by_case(argv, stdin, code, label, monkeypatch, 
         assert err == ""
 
 
+_WANT_F = "(want id, pow:<p>, exp2m1, quad, atanh:<c>, table:<path>)"
+
+
+@pytest.mark.parametrize("f_spec, code, line", [
+    ("pow:abc", 1, "usage error: bad exponent in 'pow:abc'"),
+    ("pow:", 1, "usage error: bad exponent in 'pow:'"),
+    ("pow:0", 2, "validation error: pow exponent must be positive, got 0.0"),
+    ("pow:-1", 2, "validation error: pow exponent must be positive, got -1.0"),
+    ("pow:nan", 2, "validation error: pow exponent must be positive, got nan"),
+    ("atanh:x", 1, "usage error: bad scale in 'atanh:x'"),
+    ("atanh:", 1, "usage error: bad scale in 'atanh:'"),
+    ("atanh:-1", 2, "validation error: atanh scale must be positive, got -1.0"),
+    ("atanh:nan", 2, "validation error: atanh scale must be positive, got nan"),
+    ("id:1", 1, f"usage error: unknown f spec 'id:1' {_WANT_F}"),
+    ("quad:2", 1, f"usage error: unknown f spec 'quad:2' {_WANT_F}"),
+    ("exp2m1:3", 1, f"usage error: unknown f spec 'exp2m1:3' {_WANT_F}"),
+    ("cubic", 1, f"usage error: unknown f spec 'cubic' {_WANT_F}"),
+    ("table:", 1, f"usage error: unknown f spec 'table:' {_WANT_F}"),
+])
+def test_bad_f_specs_print_one_error_line(f_spec, code, line, capsys):
+    assert cli.main(["validate", f"{f_spec}@int:0:10"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 def test_overlong_fold_refused_before_any_term(monkeypatch, capsys):
     def no_term(*args):
         raise AssertionError("a term was folded for a refused sum")

@@ -84,7 +84,7 @@ def test_format_is_what_it_claims():
 @pytest.mark.parametrize("kind", ["projective", "dual"])
 def test_every_sum_is_the_rounded_exact_sum(kind, table_path):
     a, up = _arith(kind, table_path), kind == "dual"
-    table = a.op_table("add", TOP)  # law scans read this view: a dual sum past the top clamps there
+    table = a.op_table("add", TOP, TOP)  # law scans read this view: a dual sum past the top clamps there
     for i in range(TOP + 1):
         for j in range(TOP + 1):
             try:
