@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nda.laws import (
     FAILS,
     HOLDS,
     LAW_NAMES,
+    LawReport,
     NOT_APPLICABLE,
     CONSISTENT,
     check_archimedean,
@@ -272,7 +274,7 @@ def test_chunked_scan_matches_single_chunk_and_reference(spec, dtype, law, monke
     n = upper + 1
     if laws._LAWS[law][2] is None:  # holds by construction: no op is computed
         assert cells == []
-    elif laws._LAWS[law][2] == "distributivity":  # the tiles read the outer op over their distinct inner values
+    elif law == "distributivity":  # the tiles read the outer op over their distinct inner values
         assert cells and max(cells) <= max(n, n ** (arity - 1))
 
 
@@ -357,9 +359,113 @@ def test_distributivity_with_one_op_tabled(name, extents, kind, monkeypatch):
     monkeypatch.setattr(Arithmetic, "index_table", lambda self, op, rows, cols: (
         cells.append(np.broadcast(rows, cols).size), index_table(self, op, rows, cols))[1])
     assert check_law(a, "distributivity", upper) == whole
-    # one leading index a chunk, each call at most (R+1)^2 cells: where mul has no table, a(b + c) once a chunk;
-    # where add has none, p + p once an a and b + c once a scan
-    assert max(cells) == n * n and cells.count(n * n) == n + (tabled == "mul")
+    # one leading index a >= 2 a chunk, each call at most (R+1)^2 cells: where mul has no table, a(b + c) once a
+    # chunk; where add has none, p + p once an a and b + c once a scan
+    assert max(cells) == n * n and cells.count(n * n) == n - 2 + (tabled == "mul")
+
+
+# ----------------------------------------------------------------------
+# distributivity of an integral power: one interval of a per (b, c)
+# ----------------------------------------------------------------------
+
+def chunk_report(a, upper):
+    """distributivity's report from its chunks, for an f that the interval scan would take."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laws, "_integral_power", lambda arith: None)
+        assert laws._plan(a, "distributivity", upper)[1] == "distributivity"
+        return check_law(a, "distributivity", upper)
+
+
+@pytest.mark.parametrize("spec, scan", [
+    ("projective:pow:2@int:0:100", "intervals"),
+    ("dual:pow:3.0@int:0:100", "intervals"),
+    ("projective:pow:1.5@int:0:100", "distributivity"),
+    ("dual:pow:2@grid:0:2:0.05", "distributivity"),
+    ("projective:id@int:0:100", "distributivity"),
+    ("projective:exp2m1@int:0:100", "distributivity"),
+])
+def test_interval_scan_taken_for_an_integral_power_on_integers_only(spec, scan):
+    assert laws._plan(arith(spec), "distributivity", 20) == (3, scan, {} if scan == "intervals" else mock.ANY)
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_interval_scan_matches_the_chunks(p, kind):
+    # on 1,001 points ac passes the top from R = 32 on
+    a = arith(f"{kind}:pow:{p}@int:0:1000")
+    for upper in range(61):
+        assert check_law(a, "distributivity", upper) == chunk_report(a, upper), upper
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_interval_scan_matches_reference(p, kind):
+    # on 101 points ac passes the top from R = 11 on
+    a, fvals = arith(f"{kind}:pow:{p}@int:0:100"), [v ** p for v in range(101)]
+    for upper in (1, 2, 13, 40):
+        report = check_law(a, "distributivity", upper)
+        assert (report.witness, report.violations) == reference_scan(fvals, kind, "distributivity", upper), upper
+
+
+@pytest.mark.parametrize("spec, upper, witness, violations", [
+    # the reports of the chunks, which scanned these cubes before the interval scan
+    ("projective:pow:2@int:0:1000", 300, (2, 2, 2), 265_948),
+    ("dual:pow:2@int:0:1000", 300, (2, 1, 1), 292_452),
+    ("projective:pow:2@int:0:1000", 1000, (2, 2, 2), 320_519),
+    ("dual:pow:2@int:0:1000", 1000, (2, 1, 1), 353_989),
+    ("projective:pow:3@int:0:1000", 300, (2, 2, 2), 262_916),
+    ("dual:pow:3@int:0:1000", 300, (2, 1, 1), 333_359),
+    ("projective:pow:3@int:0:1000", 1000, (2, 2, 2), 324_897),
+    ("dual:pow:3@int:0:1000", 1000, (2, 1, 1), 417_727),
+])
+def test_interval_scan_pinned(spec, upper, witness, violations):
+    report = check_law(arith(spec), "distributivity", upper)
+    assert report == LawReport("distributivity", FAILS, witness, upper, (upper + 1) ** 3, violations)
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+def test_interval_scan_past_int64(kind):
+    # f(1000) = 10^21 passes 2^63: f's values are Python ints, and so are the terms of the exact tests
+    a = arith(f"{kind}:pow:7@int:0:1000")
+    assert a._f_array.dtype == object
+    for upper in (30, 60):
+        assert check_law(a, "distributivity", upper) == chunk_report(a, upper)
+
+
+@pytest.mark.parametrize("kind", ["projective", "dual"])
+def test_interval_bounds_near_the_int64_edge(kind, upper=3000):
+    # f(T) = (2^21 - 1)^3 fits int64 with under 2^45 to spare, so a^p S, up to 2 f(T), or (am - 1)^p, am up to
+    # T + a, would wrap; with c in [700..3000] and a up to 3000, ac and am reach T, and the exact tests' terms f(T)
+    a, top = arith(f"{kind}:pow:3@int:0:2097151"), 2 ** 21 - 1
+    assert a._f_array.dtype == np.int64 and 2 ** 63 - 2 ** 45 < top ** 3 < 2 ** 63
+    rng = np.random.default_rng(0)
+    c = rng.integers(700, upper + 1, 400)
+    b = rng.integers(1, c + 1)
+    lo, hi = laws._bounds(a, 3, b, c, upper + 1)
+    assert (c * hi).max() > 0.999 * top
+    index, mul = np.arange(upper + 1)[:, None], lambda x, y: a.index_table("mul", x, y)
+    violates = mul(index, a.index_table("add", b, c)) != a.index_table("add", mul(index, b), mul(index, c))
+    assert np.array_equal(violates, (index >= lo) & (index <= hi))  # every pair's violations are [lo, hi]
+    least = laws._least
+    for guess in (-np.inf, np.inf):  # each bound stepped to from one end: the exact tests run at every a on the way
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laws, "_least", lambda test, guesses, *rest: least(test, np.full(guesses.shape, guess), *rest))
+            assert all(map(np.array_equal, laws._bounds(a, 3, b, c, upper + 1), (lo, hi))), guess
+    assert check_law(a, "distributivity", 60) == chunk_report(a, 60)
+
+
+def test_interval_scan_memory():
+    # the cube at R = 1000 takes 8 GB in two int32 sides, and no op table is built
+    a = arith("projective:pow:2@int:0:100000")
+    a.index_table("add", 1, 1)
+    tracemalloc.start()
+    try:
+        report = check_law(a, "distributivity", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == 160_125_098 and a._op_tables == {}
+    assert peak < 256 * laws.BLOCK_CELLS  # some 170 bytes a pair of a block
 
 
 @pytest.mark.parametrize("spec, dtype", [
@@ -495,10 +601,14 @@ def test_scans_skip_only_cells_the_top_decides(values):
 
 
 @pytest.mark.parametrize("spec, upper, gathered", [
-    # pow:2 saturates from ab >= 1000 on, so past the first chunk's 31 rows little is left to gather
-    ("projective:pow:2@int:0:1000", 1000, {"distributivity": 0.05 * 1001 ** 3, "assoc-mul": 0.05 * 1001 ** 3}),
-    # exp2m1 reaches the top nowhere below R = 300: every cell is gathered, as many as without the skip
-    ("projective:exp2m1@int:0:1000", 300, {"distributivity": 108_902_402, "assoc-mul": 27_270_901}),
+    # pow:2 saturates from ab >= 1000 on, so past the first tiles little is left to gather
+    ("projective:pow:2@int:0:1000", 1000, {"assoc-mul": 0.05 * 1001 ** 3}),
+    # exp2m1 reaches the top nowhere below R = 300: every cell is gathered, as many as without the skip, of the rows
+    # a >= 2 in distributivity
+    ("projective:exp2m1@int:0:1000", 300, {"distributivity": 108_178_798, "assoc-mul": 27_270_901}),
+    # pow:1.5 saturates from ab >= 1000 on too, and its chunks take the rows a >= 2 by [0..k(2))^2 first: 41,385,237
+    # cells, against 46,326,005 from a = 0 by [0..k(0))^2
+    ("projective:pow:1.5@int:0:1000", 1000, {"distributivity": 42_000_000}),
 ])
 def test_scans_gather_no_cell_the_top_decides(spec, upper, gathered, monkeypatch):
     a, take, cells = arith(spec), np.take, []
@@ -549,8 +659,9 @@ def assert_tables_are_index_table(a):
 @pytest.mark.parametrize("spec, shapes", [
     # mul's [0..mul(R, R)] x [0..R], mul(300, 300) = 599, and add's [0..mul(R, R)]^2, from distributivity
     ("projective:exp2m1@int:0:1000", {"add": (600, 600), "mul": (600, 301)}),
-    # mul(300, 300) passes the top, which ends both tables' rows
-    ("dual:pow:2@int:0:1000", {"add": (1001, 1001), "mul": (1001, 301)}),
+    # mul(300, 300) passes the top, which ends mul's rows; add's are assoc-add's [0..add(R, R)] x [0..R], the
+    # interval scan of distributivity reading no table
+    ("dual:pow:2@int:0:1000", {"add": (426, 301), "mul": (1001, 301)}),
 ])
 def test_audit_tables_cover_only_what_the_scans_read(spec, shapes):
     a = arith(spec)
@@ -632,7 +743,7 @@ def test_no_buffer_outlives_the_audit():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak > 61 ** 3 * 8  # a chunk's two int32 sides were allocated
+    assert peak > 59 * 50 ** 2 * 8  # a chunk's two int32 sides were allocated: rows [2..60] by [0..k(2))^2, k(2) = 50
     assert current <= sum(t.nbytes for t in a._op_tables.values()) + 64 * 1024
 
 
